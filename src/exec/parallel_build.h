@@ -10,6 +10,12 @@
 // partials per value in chunk order. WahBitmap's canonical form
 // guarantees the concatenation is bit-identical to the serial build:
 // equal logical content implies equal code words.
+//
+// The position-filter builders shrink columns onto a row subset:
+// FilterColumnBitmaps for catalog tables, ProjectPresentValues for
+// SELECT results. The latter keeps only the values the selection hits,
+// so a point SELECT over a high-cardinality column builds a few bitmaps
+// instead of one per dictionary value.
 
 #ifndef CODS_EXEC_PARALLEL_BUILD_H_
 #define CODS_EXEC_PARALLEL_BUILD_H_
@@ -36,13 +42,33 @@ std::vector<WahBitmap> BuildValueBitmaps(const ExecContext& ctx,
                                          uint64_t rows, uint64_t num_values);
 
 /// Shrinks every value bitmap of `column` through `filter` (one task per
-/// vid) and rebuilds the column at filter.num_positions() rows — the
-/// position-filtering shape shared by SELECT, PARTITION TABLE and
-/// DECOMPOSE. Requires a WAH-encoded column; `op_name` labels the error
-/// otherwise. Bit-identical at every thread count.
+/// vid) and rebuilds the column at filter.num_positions() rows with the
+/// full source dictionary, zero-count values included — the
+/// position-filtering shape of PARTITION TABLE, DECOMPOSE and JOIN,
+/// whose outputs are catalog tables: their dictionaries are part of the
+/// checkpoint image and of bit-identical WAL replay. Requires a
+/// WAH-encoded column; `op_name` labels the error otherwise.
+/// Bit-identical at every thread count.
 Result<std::shared_ptr<const Column>> FilterColumnBitmaps(
     const ExecContext& ctx, const Column& column,
     const WahPositionFilter& filter, const std::string& op_name);
+
+/// The SELECT-result projection of `column` onto the selected rows:
+/// `selection` holds them as a value bitmap and `filter` indexes the
+/// same positions (re-basing, CodecFilter). Under a sparse selection a
+/// value bitmap with no selected row is skipped after one CodecAndCount
+/// hit test, without building a container, so the cost follows the
+/// values present, not the dictionary; a denser selection filters every
+/// candidate and drops the empty results. The result's dictionary holds
+/// exactly the present values, in source-vid order — a pure function of
+/// (column, selection), bit-identical at every thread count.
+/// `candidates` (sorted, or null for every vid) restricts the hit tests
+/// when the caller knows each selected row holds one of those vids.
+/// SELECT results are never catalog tables; catalog outputs use
+/// FilterColumnBitmaps.
+Result<std::shared_ptr<const Column>> ProjectPresentValues(
+    const ExecContext& ctx, const Column& column, const ValueBitmap& selection,
+    const WahPositionFilter& filter, const std::vector<Vid>* candidates);
 
 }  // namespace cods
 

@@ -1,5 +1,8 @@
 #include "query/expr.h"
 
+#include <algorithm>
+#include <cmath>
+#include <optional>
 #include <utility>
 
 #include "bitmap/codec.h"
@@ -235,9 +238,35 @@ void CollectLeaves(const Expr& node, std::vector<const Expr*>* leaves) {
   }
 }
 
-// One leaf to its selection bitmap: a dictionary scan collecting the
-// qualifying value bitmaps into a single-pass k-way union, then an
-// optional complement for a residual NOT.
+// 2^53: every integer of smaller magnitude is exact as a double, and no
+// int64 of magnitude 2^53 or more rounds to a double below it.
+constexpr double kExactIntegerBound = 9007199254740992.0;
+
+// Appends the vids of the dictionary values order-equal to `literal`
+// (EvalCompare's kEq). Within one type, variant equality is
+// order-equality (and -0.0 == 0.0 hash alike), so each image of the
+// literal is one hash probe. Returns false when probes cannot answer:
+// NaN never hash-matches, and a double at or beyond 2^53 in magnitude
+// equals many int64s.
+bool ProbeOrderEqual(const Dictionary& dict, const Value& literal,
+                     std::vector<Vid>* vids) {
+  auto probe = [&](const Value& image) {
+    if (std::optional<Vid> vid = dict.Lookup(image)) vids->push_back(*vid);
+  };
+  if (literal.is_double()) {
+    const double d = literal.dbl();
+    if (std::isnan(d) || std::fabs(d) >= kExactIntegerBound) return false;
+    if (d == std::trunc(d)) probe(Value(static_cast<int64_t>(d)));
+  } else if (literal.is_int64()) {
+    probe(Value(static_cast<double>(literal.int64())));
+  }
+  probe(literal);
+  return true;
+}
+
+// One leaf to its selection bitmap: the qualifying value bitmaps into a
+// single-pass k-way union, then an optional complement for a residual
+// NOT.
 Result<WahBitmap> EvalLeafBitmap(const Table& table, const Expr& leaf) {
   const Expr* inner = &leaf;
   bool negate = false;
@@ -254,10 +283,8 @@ Result<WahBitmap> EvalLeafBitmap(const Table& table, const Expr& leaf) {
         inner->column + "' first");
   }
   std::vector<const ValueBitmap*> qualifying;
-  for (Vid vid = 0; vid < col->distinct_count(); ++vid) {
-    if (inner->LeafMatches(col->dict().value(vid))) {
-      qualifying.push_back(&col->bitmap(vid));
-    }
+  for (Vid vid : MatchingVids(*col, *inner)) {
+    qualifying.push_back(&col->bitmap(vid));
   }
   WahBitmap bm = CodecOrManyWah(qualifying, table.rows());
   if (negate) return WahNot(bm);
@@ -324,6 +351,30 @@ WahBitmap Combine(const Expr& node, uint64_t rows,
 }
 
 }  // namespace
+
+std::vector<Vid> MatchingVids(const Column& column, const Expr& leaf) {
+  const Dictionary& dict = column.dict();
+  std::vector<Vid> vids;
+  bool probed = false;
+  if (leaf.kind == ExprKind::kCompare && leaf.op == CompareOp::kEq) {
+    probed = ProbeOrderEqual(dict, leaf.literal, &vids);
+  } else if (leaf.kind == ExprKind::kIn) {
+    probed = std::all_of(
+        leaf.in_values.begin(), leaf.in_values.end(),
+        [&](const Value& v) { return ProbeOrderEqual(dict, v, &vids); });
+  }
+  if (probed) {
+    // IN (3, 3.0) probes the same entry twice.
+    std::sort(vids.begin(), vids.end());
+    vids.erase(std::unique(vids.begin(), vids.end()), vids.end());
+    return vids;
+  }
+  vids.clear();
+  for (Vid vid = 0; vid < dict.size(); ++vid) {
+    if (leaf.LeafMatches(dict.value(vid))) vids.push_back(vid);
+  }
+  return vids;
+}
 
 ExprPtr NormalizeExpr(const ExprPtr& expr) {
   CODS_CHECK(expr != nullptr) << "NormalizeExpr on null expression";

@@ -8,11 +8,13 @@
 //      only surviving NOTs sit directly over IN/BETWEEN leaves. Same-kind
 //      AND/AND and OR/OR children are flattened into one node, exposing
 //      the maximal fan-in to the single-pass k-way kernels.
-//   2. Leaf evaluation: every leaf is one dictionary scan plus a k-way
-//      WahOrMany union of the qualifying value bitmaps. Leaves evaluate
-//      in parallel on the ExecContext (one task per leaf, pre-sized
-//      slots, first error in leaf order), so results and errors are
-//      bit-identical at every thread count.
+//   2. Leaf evaluation: MatchingVids resolves the leaf to its qualifying
+//      dictionary values — `=` and IN probe the dictionary's hash index
+//      (O(literals), independent of the dictionary size), every other
+//      leaf is one dictionary scan — then a k-way union of those value
+//      bitmaps. Leaves evaluate in parallel on the ExecContext (one task
+//      per leaf, pre-sized slots, first error in leaf order), so results
+//      and errors are bit-identical at every thread count.
 //   3. Combine: AND/OR nodes feed their children to WahAndMany/WahOrMany
 //      (one pass, no pairwise intermediates); a residual NOT is a WahNot
 //      complement on top of its leaf. The complement is exact because
@@ -89,6 +91,17 @@ bool ExprEquals(const Expr& a, const Expr& b);
 /// plan display. Idempotent. Never errors: unknown columns are caught
 /// at evaluation (bind) time.
 ExprPtr NormalizeExpr(const ExprPtr& expr);
+
+/// The vids of `column` whose dictionary values satisfy `leaf` (a
+/// kCompare/kIn/kBetween node; the column is not re-resolved), sorted
+/// and deduplicated. `=` and IN probe the dictionary's hash index with
+/// every order-equal image of each literal: an int64 also probes its
+/// double image, an integral double below 2^53 in magnitude also probes
+/// its int64 image, and -0.0 finds 0.0. A NaN literal (each NaN row
+/// value keeps its own dictionary entry) or a double at or beyond 2^53
+/// in magnitude (many int64s round to it) makes the leaf scan instead,
+/// as every other leaf does: LeafMatches over the whole dictionary.
+std::vector<Vid> MatchingVids(const Column& column, const Expr& leaf);
 
 /// Evaluates `expr` to a selection bitmap of length table.rows().
 /// Normalizes, evaluates every leaf in parallel on `ctx`, and combines

@@ -139,7 +139,7 @@ Result<FkOut> FkJoin(const ExecContext& exec, const Table& scan,
     out.rows = positions.size();
     WahPositionFilter filter(positions, scan.rows());
     // Column tasks nest the per-vid filter tasks inside
-    // FilterColumnBitmaps, exactly as PARTITION and SELECT do.
+    // FilterColumnBitmaps, exactly as PARTITION does.
     CODS_RETURN_NOT_OK(
         ParallelFor(exec, 0, scan.num_columns(), 1, [&](uint64_t i) -> Status {
           CODS_ASSIGN_OR_RETURN(

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <optional>
 
 #include "bitmap/codec.h"
 #include "bitmap/wah_filter.h"
@@ -271,6 +272,100 @@ std::vector<std::string> RetainedKey(const std::vector<ColumnSpec>& specs,
   return key;
 }
 
+// Resolves a SELECT list to column indices (request order) and builds
+// the result schema. A column named twice — under any pair of
+// references resolving to the same column, including an explicitly
+// listed key — is an error naming both positions; every retained column
+// is projected exactly once.
+Status ResolveProjection(const Table& table,
+                         const std::vector<std::string>& columns,
+                         std::vector<size_t>* indices, Schema* schema) {
+  if (columns.empty()) {
+    indices->resize(table.num_columns());
+    std::iota(indices->begin(), indices->end(), size_t{0});
+  } else {
+    indices->reserve(columns.size());
+    for (size_t c = 0; c < columns.size(); ++c) {
+      CODS_ASSIGN_OR_RETURN(size_t idx, table.ResolveColumnRef(columns[c]));
+      for (size_t prev = 0; prev < indices->size(); ++prev) {
+        if ((*indices)[prev] == idx) {
+          return Status::InvalidArgument(
+              "duplicate column '" + table.schema().column(idx).name +
+              "' in the SELECT list (positions " + std::to_string(prev + 1) +
+              " and " + std::to_string(c + 1) + ")");
+        }
+      }
+      indices->push_back(idx);
+    }
+  }
+  std::vector<ColumnSpec> specs;
+  specs.reserve(indices->size());
+  for (size_t idx : *indices) specs.push_back(table.schema().column(idx));
+  std::vector<std::string> key = RetainedKey(specs, table.schema().key());
+  CODS_ASSIGN_OR_RETURN(*schema,
+                        Schema::Make(std::move(specs), std::move(key)));
+  return Status::OK();
+}
+
+// The vids a projection of column `idx` needs to hit-test, or nullopt
+// for all of them. Every selected row satisfies each leaf at the root
+// of the normalized WHERE (or directly under a root AND), so a leaf on
+// that column bounds its present values by the leaf's MatchingVids —
+// `K IN (a, b, c)` projects K from three candidate bitmaps.
+std::optional<std::vector<Vid>> ConstrainedVids(const Table& table,
+                                                size_t idx,
+                                                const Expr& root) {
+  std::vector<const Expr*> leaves;
+  if (root.kind == ExprKind::kAnd) {
+    for (const ExprPtr& child : root.children) leaves.push_back(child.get());
+  } else {
+    leaves.push_back(&root);
+  }
+  std::optional<std::vector<Vid>> best;
+  for (const Expr* leaf : leaves) {
+    if (leaf->kind != ExprKind::kCompare && leaf->kind != ExprKind::kIn &&
+        leaf->kind != ExprKind::kBetween) {
+      continue;
+    }
+    Result<size_t> leaf_idx = table.ResolveColumnRef(leaf->column);
+    if (!leaf_idx.ok() || leaf_idx.ValueOrDie() != idx) continue;
+    std::vector<Vid> vids = MatchingVids(*table.column(idx), *leaf);
+    if (!best.has_value() || vids.size() < best->size()) {
+      best = std::move(vids);
+    }
+  }
+  return best;
+}
+
+// The result build of a SELECT: each projected column keeps only the
+// values `selection` hits (ProjectPresentValues), re-based onto the
+// selected rows.
+Result<std::shared_ptr<const Table>> BuildSelectResult(
+    const Table& table, const std::vector<size_t>& indices, Schema schema,
+    const WahBitmap& selection, const ExprPtr& where,
+    const std::string& out_name, const ExecContext& exec) {
+  const ValueBitmap selected = ValueBitmap::FromWah(selection);
+  WahPositionFilter filter(selection.SetPositions(), table.rows());
+  const ExprPtr root = where != nullptr ? NormalizeExpr(where) : nullptr;
+  std::vector<std::shared_ptr<const Column>> cols(indices.size());
+  // Column tasks nest the per-vid tasks inside ProjectPresentValues.
+  CODS_RETURN_NOT_OK(
+      ParallelFor(exec, 0, indices.size(), 1, [&](uint64_t i) -> Status {
+        std::optional<std::vector<Vid>> candidates;
+        if (root != nullptr) {
+          candidates = ConstrainedVids(table, indices[i], *root);
+        }
+        CODS_ASSIGN_OR_RETURN(
+            cols[i],
+            ProjectPresentValues(exec, *table.column(indices[i]), selected,
+                                 filter,
+                                 candidates ? &*candidates : nullptr));
+        return Status::OK();
+      }));
+  return Table::Make(out_name, std::move(schema), std::move(cols),
+                     filter.num_positions());
+}
+
 }  // namespace
 
 // ---- Execute ---------------------------------------------------------------
@@ -439,60 +534,33 @@ Result<std::shared_ptr<const Table>> QueryEngine::SelectRows(
     const Table& table, const std::vector<std::string>& columns,
     const ExprPtr& where, const std::string& out_name,
     const ExecContext* ctx) {
-  // Resolve the projection to column indices (request order). A column
-  // named twice — under any pair of references resolving to the same
-  // column, including an explicitly-listed key — is an error naming
-  // both positions; every retained column is projected exactly once.
   std::vector<size_t> indices;
-  if (columns.empty()) {
-    indices.resize(table.num_columns());
-    std::iota(indices.begin(), indices.end(), size_t{0});
-  } else {
-    indices.reserve(columns.size());
-    for (size_t c = 0; c < columns.size(); ++c) {
-      CODS_ASSIGN_OR_RETURN(size_t idx, table.ResolveColumnRef(columns[c]));
-      for (size_t prev = 0; prev < indices.size(); ++prev) {
-        if (indices[prev] == idx) {
-          return Status::InvalidArgument(
-              "duplicate column '" + table.schema().column(idx).name +
-              "' in the SELECT list (positions " + std::to_string(prev + 1) +
-              " and " + std::to_string(c + 1) + ")");
-        }
-      }
-      indices.push_back(idx);
-    }
-  }
-  std::vector<ColumnSpec> specs;
-  specs.reserve(indices.size());
-  for (size_t idx : indices) specs.push_back(table.schema().column(idx));
-  std::vector<std::string> key = RetainedKey(specs, table.schema().key());
-  CODS_ASSIGN_OR_RETURN(Schema schema,
-                        Schema::Make(std::move(specs), std::move(key)));
-
-  std::vector<std::shared_ptr<const Column>> cols(indices.size());
+  Schema schema;
+  CODS_RETURN_NOT_OK(ResolveProjection(table, columns, &indices, &schema));
   if (where == nullptr) {
     // No predicate: the projection shares the input's columns outright.
+    std::vector<std::shared_ptr<const Column>> cols(indices.size());
     for (size_t i = 0; i < indices.size(); ++i) {
       cols[i] = table.column(indices[i]);
     }
     return Table::Make(out_name, std::move(schema), std::move(cols),
                        table.rows());
   }
-
   ExecContext exec = ResolveContext(ctx);
   CODS_ASSIGN_OR_RETURN(WahBitmap selection, EvalExpr(table, where, &exec));
-  std::vector<uint64_t> positions = selection.SetPositions();
-  WahPositionFilter filter(positions, table.rows());
-  // Column tasks nest the per-vid filter tasks inside FilterColumnBitmaps.
-  CODS_RETURN_NOT_OK(
-      ParallelFor(exec, 0, indices.size(), 1, [&](uint64_t i) -> Status {
-        CODS_ASSIGN_OR_RETURN(
-            cols[i], FilterColumnBitmaps(exec, *table.column(indices[i]),
-                                         filter, "SELECT"));
-        return Status::OK();
-      }));
-  return Table::Make(out_name, std::move(schema), std::move(cols),
-                     positions.size());
+  return BuildSelectResult(table, indices, std::move(schema), selection,
+                           where, out_name, exec);
+}
+
+Result<std::shared_ptr<const Table>> QueryEngine::ProjectSelection(
+    const Table& table, const std::vector<std::string>& columns,
+    const WahBitmap& selection, const ExprPtr& where,
+    const std::string& out_name, const ExecContext* ctx) {
+  std::vector<size_t> indices;
+  Schema schema;
+  CODS_RETURN_NOT_OK(ResolveProjection(table, columns, &indices, &schema));
+  return BuildSelectResult(table, indices, std::move(schema), selection,
+                           where, out_name, ResolveContext(ctx));
 }
 
 Result<uint64_t> QueryEngine::CountRows(const Table& table,

@@ -19,9 +19,12 @@
 //     parallel on the ExecContext, k-way AND/OR combines, count-only
 //     kernels when no rows are materialized.
 //   * SELECT builds the result compressed-to-compressed through the
-//     same position-filter machinery as PARTITION TABLE; a request with
-//     no WHERE shares the input's column pointers outright (the §2.4
-//     "reuse unchanged columns" move, one pointer copy per column).
+//     position-filter machinery, keeping only the values the selection
+//     hits (a result dictionary holds exactly its present values), so a
+//     point SELECT builds containers only for the values it returns; a
+//     request with no WHERE shares the input's column pointers outright
+//     (the §2.4 "reuse unchanged columns" move, one pointer copy per
+//     column).
 //   * GROUP BY runs every aggregate (SUM/COUNT/MIN/MAX/AVG) off ONE
 //     compressed AND per (group, measure-value) pair, never
 //     materializing rows; a WHERE narrows each group bitmap with one
@@ -191,6 +194,18 @@ class QueryEngine {
       const Table& table, const std::vector<std::string>& columns,
       const ExprPtr& where, const std::string& out_name,
       const ExecContext* ctx = nullptr);
+
+  /// The result-build half of SelectRows, for a caller that already
+  /// evaluated `where` to `selection` (the server's batch groups share
+  /// one eval across statements). `where` may be null; it only narrows
+  /// the work: a projected column that a leaf at the root of the WHERE
+  /// (or directly under a root AND) constrains hit-tests just that
+  /// leaf's MatchingVids. Each result column's dictionary holds exactly
+  /// the values present in the selected rows, in source-vid order.
+  static Result<std::shared_ptr<const Table>> ProjectSelection(
+      const Table& table, const std::vector<std::string>& columns,
+      const WahBitmap& selection, const ExprPtr& where,
+      const std::string& out_name, const ExecContext* ctx = nullptr);
 
   /// SELECT COUNT(*) FROM table WHERE where — never materializes rows.
   static Result<uint64_t> CountRows(const Table& table, const ExprPtr& where,

@@ -23,12 +23,9 @@ uint64_t EstimateExprRows(const Table& table, const ExprPtr& where) {
           table.ColumnByRef(where->column);
       if (!col.ok()) return rows;  // unknown ref: no estimate
       const Column& column = *col.ValueOrDie();
-      const Dictionary& dict = column.dict();
       uint64_t est = 0;
-      for (size_t vid = 0; vid < dict.size(); ++vid) {
-        if (where->LeafMatches(dict.value(static_cast<Vid>(vid)))) {
-          est += column.ValueCount(static_cast<Vid>(vid));
-        }
+      for (Vid vid : MatchingVids(column, *where)) {
+        est += column.ValueCount(vid);
       }
       return est;
     }

@@ -7,8 +7,11 @@
 // joins, GROUP BY, ORDER BY, full-table SELECTs, high-cardinality
 // predicates). Classification is free: the per-value popcount
 // histograms the columns already maintain (Column::ValueCount is O(1))
-// give an upper-bound cardinality estimate for any WHERE tree with one
-// dictionary scan per leaf and no bitmap work.
+// give an upper-bound cardinality estimate for any WHERE tree with no
+// bitmap work. Each leaf costs what MatchingVids (query/expr.h) costs:
+// `=` and IN are a few hash probes, whatever the dictionary size, so a
+// point statement classifies in O(literals) on the event-loop thread;
+// range leaves scan their dictionary once.
 //
 // Each lane has its own bounded queue and its own worker-slot budget,
 // so a flood of heavy statements can saturate only the heavy slots —
@@ -45,8 +48,8 @@ inline constexpr int kNumLanes = 2;
 const char* LaneToString(Lane lane);
 
 /// Upper-bound row estimate for `where` over `table` from the cached
-/// per-value popcounts: leaves sum the ValueCount of qualifying
-/// dictionary values, AND takes the child minimum, OR the clamped sum,
+/// per-value popcounts: leaves sum the ValueCount of their
+/// MatchingVids, AND takes the child minimum, OR the clamped sum,
 /// NOT the complement. Null `where` and unknown columns estimate the
 /// full table.
 uint64_t EstimateExprRows(const Table& table, const ExprPtr& where);

@@ -1,14 +1,10 @@
 #include "server/batch.h"
 
-#include <algorithm>
 #include <map>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <utility>
 
-#include "bitmap/wah_filter.h"
-#include "exec/parallel_build.h"
 #include "query/expr.h"
 #include "storage/table.h"
 
@@ -25,59 +21,6 @@ bool Shareable(const QueryRequest& q) {
   if (q.verb == QueryRequest::Verb::kGroupBy) return false;
   if (q.limit >= 0) return false;
   return q.where != nullptr;
-}
-
-/// Key preserved iff every key column survives the projection (the
-/// SelectRows contract).
-std::vector<std::string> RetainedKey(const std::vector<ColumnSpec>& specs,
-                                     std::vector<std::string> key) {
-  for (const std::string& k : key) {
-    bool kept = std::any_of(specs.begin(), specs.end(),
-                            [&](const ColumnSpec& s) { return s.name == k; });
-    if (!kept) return {};
-  }
-  return key;
-}
-
-/// SELECT off a precomputed selection: the projection/validation logic
-/// of QueryEngine::SelectRows, with the predicate eval replaced by the
-/// group's shared position filter.
-Result<std::shared_ptr<const Table>> SelectFromFilter(
-    const Table& table, const QueryRequest& q, const WahPositionFilter& filter,
-    const ExecContext& ctx) {
-  std::vector<size_t> indices;
-  if (q.columns.empty()) {
-    indices.resize(table.num_columns());
-    std::iota(indices.begin(), indices.end(), size_t{0});
-  } else {
-    indices.reserve(q.columns.size());
-    for (size_t c = 0; c < q.columns.size(); ++c) {
-      CODS_ASSIGN_OR_RETURN(size_t idx, table.ResolveColumnRef(q.columns[c]));
-      for (size_t prev = 0; prev < indices.size(); ++prev) {
-        if (indices[prev] == idx) {
-          return Status::InvalidArgument(
-              "duplicate column '" + table.schema().column(idx).name +
-              "' in the SELECT list (positions " + std::to_string(prev + 1) +
-              " and " + std::to_string(c + 1) + ")");
-        }
-      }
-      indices.push_back(idx);
-    }
-  }
-  std::vector<ColumnSpec> specs;
-  specs.reserve(indices.size());
-  for (size_t idx : indices) specs.push_back(table.schema().column(idx));
-  std::vector<std::string> key = RetainedKey(specs, table.schema().key());
-  CODS_ASSIGN_OR_RETURN(Schema schema,
-                        Schema::Make(std::move(specs), std::move(key)));
-  std::vector<std::shared_ptr<const Column>> cols(indices.size());
-  for (size_t i = 0; i < indices.size(); ++i) {
-    CODS_ASSIGN_OR_RETURN(cols[i],
-                          FilterColumnBitmaps(ctx, *table.column(indices[i]),
-                                              filter, "SELECT"));
-  }
-  return Table::Make(q.out_name, std::move(schema), std::move(cols),
-                     filter.num_positions());
 }
 
 BatchOutcome FromResult(Result<QueryResult> r) {
@@ -146,10 +89,8 @@ std::vector<BatchOutcome> ExecuteQueryBatch(
       stats->batch_hits += members.size() - 1;
     }
 
-    // The position filter is built once, lazily (COUNT-only groups
-    // never need it); distinct SELECT shapes each build their own
-    // projection through it, exact duplicates share one result.
-    std::unique_ptr<WahPositionFilter> filter;
+    // Distinct SELECT shapes each project the shared selection; exact
+    // duplicates share one result.
     std::map<std::string, size_t> by_text;  // stmt text -> first outcome
     bool first_member = true;
     for (size_t i : members) {
@@ -172,12 +113,9 @@ std::vector<BatchOutcome> ExecuteQueryBatch(
         outcomes[i] = std::move(out);
         continue;
       }
-      if (filter == nullptr) {
-        filter = std::make_unique<WahPositionFilter>(selection.SetPositions(),
-                                                     table.rows());
-      }
       Result<std::shared_ptr<const Table>> built =
-          SelectFromFilter(table, q, *filter, exec);
+          QueryEngine::ProjectSelection(table, q.columns, selection, q.where,
+                                        q.out_name, &exec);
       if (built.ok()) {
         out.result.verb = QueryRequest::Verb::kSelect;
         out.result.table = std::move(built).ValueOrDie();

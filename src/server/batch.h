@@ -5,9 +5,9 @@
 // WHERE). A group with more than one statement evaluates its predicate
 // bitmap ONCE (query/expr.h EvalExpr on the compressed WAH kernels) and
 // answers every member off it: COUNT members read the bitmap's O(1)
-// popcount, SELECT members build their projections through one shared
-// WahPositionFilter (the same position-filter machinery SELECT always
-// uses — the eval is shared, the projection build is per distinct
+// popcount, SELECT members project the shared selection through
+// QueryEngine::ProjectSelection (the result build every SELECT uses —
+// the eval is shared, the projection build is per distinct
 // statement), and exact-duplicate statements share one result object
 // outright. Statements the sharing rules do not cover (joins, GROUP
 // BY, ORDER BY/LIMIT, no-WHERE) execute individually through

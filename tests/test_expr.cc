@@ -7,9 +7,13 @@
 #include "storage/value_compare.h"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "bitmap/wah_ops.h"
+#include "common/random.h"
 #include "gtest/gtest.h"
+#include "server/admission.h"
 #include "test_util.h"
 #include "workload/generator.h"
 
@@ -260,6 +264,142 @@ TEST(Expr, PropertySweepOnGeneratedTable) {
                             {Value(int64_t{1}), Value(int64_t{2}),
                              Value(pivot)}))});
     ExpectAgreesWithNaive(*r, e);
+  }
+}
+
+// The brute-force reference MatchingVids must reproduce: LeafMatches
+// over the whole dictionary, in vid order.
+std::vector<Vid> ScanMatchingVids(const Column& column, const Expr& leaf) {
+  std::vector<Vid> vids;
+  for (Vid vid = 0; vid < column.distinct_count(); ++vid) {
+    if (leaf.LeafMatches(column.dict().value(vid))) vids.push_back(vid);
+  }
+  return vids;
+}
+
+uint64_t SumValueCounts(const Column& column, const std::vector<Vid>& vids) {
+  uint64_t sum = 0;
+  for (Vid vid : vids) sum += column.ValueCount(vid);
+  return sum;
+}
+
+// Probe ≡ scan: the hash-probed `=` / IN leaves (and every scanning
+// leaf) select exactly the dictionary values LeafMatches accepts, and
+// the admission estimate and the evaluated count follow, across int64,
+// double (NaN entries, -0.0, values past 2^53) and string columns and
+// the literals where order-equality and hashing part ways.
+TEST(Expr, MatchingVidsProbeEqualsScan) {
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(20261016);
+  Schema schema({{"I", DataType::kInt64, false},
+                 {"D", DataType::kDouble, false},
+                 {"S", DataType::kString, false}},
+                {});
+  // Edge values first, so each is in the dictionary; -0.0 precedes 0.0,
+  // so the dictionary's zero entry is -0.0.
+  const std::vector<int64_t> int_edges = {
+      0,           -1,          kTwo53,      kTwo53 + 1, -kTwo53 - 1,
+      kTwo53 - 1,  INT64_MIN,   INT64_MAX,   3};
+  const std::vector<double> dbl_edges = {
+      -0.0,         0.0,  nan,   nan,  3.0,  2.5, -7.0,
+      static_cast<double>(kTwo53), -static_cast<double>(kTwo53),
+      static_cast<double>(kTwo53) + 2.0, 9.3e18, inf, nan};
+  std::vector<Row> rows;
+  for (int r = 0; r < 600; ++r) {
+    Value i = r < static_cast<int>(int_edges.size())
+                  ? Value(int_edges[static_cast<size_t>(r)])
+                  : Value(rng.Uniform(-40, 40));
+    Value d = r < static_cast<int>(dbl_edges.size())
+                  ? Value(dbl_edges[static_cast<size_t>(r)])
+              : rng.NextBool(0.05) ? Value(nan)
+                                   : Value(static_cast<double>(
+                                               rng.Uniform(-40, 40)) /
+                                           2.0);
+    Value s(std::string(1, static_cast<char>('a' + rng.Uniform(0, 25))));
+    rows.push_back({i, d, s});
+  }
+  auto t = MakeTable("T", schema, rows);
+  ASSERT_GT(t->column(1)->distinct_count(), 4u);
+
+  const std::vector<Value> literals = {
+      Value(0.0),
+      Value(-0.0),
+      Value(nan),
+      Value(3.0),
+      Value(-7.0),
+      Value(2.5),
+      Value(-19.5),
+      Value(static_cast<double>(kTwo53)),
+      Value(-static_cast<double>(kTwo53)),
+      Value(9.3e18),
+      Value(inf),
+      Value(int64_t{0}),
+      Value(int64_t{3}),
+      Value(int64_t{-7}),
+      Value(kTwo53),
+      Value(kTwo53 + 1),
+      Value(-kTwo53 - 1),
+      Value(INT64_MIN),
+      Value(INT64_MAX),
+      Value("q"),
+      Value(),
+  };
+  auto random_literal = [&]() -> Value {
+    switch (rng.Uniform(0, 3)) {
+      case 0:
+        return literals[static_cast<size_t>(
+            rng.Uniform(0, static_cast<int64_t>(literals.size()) - 1))];
+      case 1:
+        return Value(rng.Uniform(-40, 40));
+      case 2:
+        return Value(static_cast<double>(rng.Uniform(-40, 40)) / 2.0);
+      default:
+        return Value(
+            std::string(1, static_cast<char>('a' + rng.Uniform(0, 25))));
+    }
+  };
+
+  std::vector<ExprPtr> leaves;
+  for (const char* col : {"I", "D", "S"}) {
+    for (const Value& lit : literals) {
+      leaves.push_back(Expr::Compare(col, CompareOp::kEq, lit));
+      leaves.push_back(Expr::Compare(col, CompareOp::kGe, lit));
+    }
+    // Cross-type duplicates resolve once.
+    leaves.push_back(
+        Expr::In(col, {Value(int64_t{3}), Value(3.0), Value(int64_t{3})}));
+    leaves.push_back(
+        Expr::In(col, {Value(0.0), Value(-0.0), Value(int64_t{0})}));
+    leaves.push_back(Expr::In(col, {Value(int64_t{3}), Value(nan)}));
+    for (int n = 0; n < 40; ++n) {
+      std::vector<Value> in;
+      for (int64_t k = rng.Uniform(1, 5); k > 0; --k) {
+        in.push_back(random_literal());
+      }
+      leaves.push_back(Expr::In(col, std::move(in)));
+      leaves.push_back(Expr::Compare(col, CompareOp::kEq, random_literal()));
+      leaves.push_back(
+          Expr::Between(col, random_literal(), random_literal()));
+    }
+  }
+
+  for (const ExprPtr& leaf : leaves) {
+    const Column& col = *t->ColumnByRef(leaf->column).ValueOrDie();
+    std::vector<Vid> scanned = ScanMatchingVids(col, *leaf);
+    EXPECT_EQ(MatchingVids(col, *leaf), scanned) << leaf->ToString();
+    const uint64_t matched = SumValueCounts(col, scanned);
+    EXPECT_EQ(server::EstimateExprRows(*t, leaf), matched) << leaf->ToString();
+    EXPECT_EQ(EvalExprCount(*t, leaf).ValueOrDie(), matched)
+        << leaf->ToString();
+    if (leaf->kind == ExprKind::kIn) {
+      // NOT IN: the exact complement, in the estimate and the eval.
+      ExprPtr not_in = Expr::Not(leaf);
+      EXPECT_EQ(server::EstimateExprRows(*t, not_in), t->rows() - matched)
+          << not_in->ToString();
+      ExpectAgreesWithNaive(*t, not_in);
+    }
   }
 }
 

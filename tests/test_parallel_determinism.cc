@@ -251,6 +251,36 @@ TEST(ParallelDeterminismTest, NestedExpressionEvaluation) {
   }
 }
 
+TEST(ParallelDeterminismTest, InConstrainedProjection) {
+  // The predicate column is projected too, so its result column is
+  // built from the IN's candidate vids only, the others from hit tests
+  // over their whole dictionaries; both keep only the values present.
+  // The compact result must be code-word identical at every thread
+  // count.
+  auto r = TestTable();
+  ExprPtr expr = Expr::And(
+      {Expr::In(kKeyColumn,
+                {Value(static_cast<int64_t>(7)),
+                 Value(static_cast<int64_t>(123)), Value(499.0),
+                 Value(static_cast<int64_t>(9999))}),
+       Expr::Compare(kPayloadColumn, CompareOp::kLt,
+                     Value(static_cast<int64_t>(80)))});
+  const std::vector<std::string> columns{kKeyColumn, kPayloadColumn,
+                                         kDependentColumn};
+  ExecContext serial(1);
+  auto ref = QueryEngine::SelectRows(*r, columns, expr, "sel", &serial);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  ASSERT_GT((*ref)->rows(), 0u);
+  EXPECT_LE((*ref)->column(0)->distinct_count(), 3u);
+  for (int threads : kThreadCounts) {
+    ExecContext ctx(threads);
+    auto sel = QueryEngine::SelectRows(*r, columns, expr, "sel", &ctx);
+    ASSERT_TRUE(sel.ok()) << sel.status().ToString();
+    ExpectTablesIdentical(**ref, **sel,
+                          "in-constrained select @" + std::to_string(threads));
+  }
+}
+
 TEST(ParallelDeterminismTest, CompressedJoinPaths) {
   // Both join shapes must be code-word identical at every thread
   // count: the key-FK shape (position filters + gathered payload) and

@@ -5,11 +5,16 @@
 
 #include "query/query_engine.h"
 
+#include <functional>
+#include <set>
+
+#include "common/random.h"
 #include "concurrency/snapshot_catalog.h"
 #include "evolution/engine.h"
 #include "gtest/gtest.h"
 #include "plan/staged_catalog.h"
 #include "query/join.h"
+#include "query/row_executor.h"
 #include "test_util.h"
 
 namespace cods {
@@ -194,8 +199,8 @@ TEST(QueryEngine, GroupByMultiAggregate) {
 
 TEST(QueryEngine, GroupByDictionaryCompleteGroupsAggregateToNull) {
   // Without a WHERE, output is dictionary-complete: a value with no
-  // rows (possible after evolution shares dictionaries) keeps SUM=0 /
-  // COUNT=0 — and MIN/MAX/AVG are NULL, not a fabricated value.
+  // rows (PARTITION TABLE keeps the parent's full dictionary) keeps
+  // SUM=0 / COUNT=0 — and MIN/MAX/AVG are NULL, not a fabricated value.
   Schema schema({{"g", DataType::kString, false},
                  {"m", DataType::kInt64, false}},
                 {});
@@ -203,11 +208,14 @@ TEST(QueryEngine, GroupByDictionaryCompleteGroupsAggregateToNull) {
   CODS_CHECK_OK(catalog.AddTable(MakeTable(
       "T", schema,
       {{Value("a"), Value(int64_t{4})}, {Value("b"), Value(int64_t{7})}})));
-  QueryEngine engine(&catalog);
-  auto filtered = QueryEngine::SelectRows(
-      *catalog.GetTable("T").ValueOrDie(), {},
-      Expr::Compare("g", CompareOp::kNe, Value("b")), "T2");
+  EvolutionEngine evolution(&catalog, nullptr);
+  ASSERT_TRUE(evolution
+                  .Apply(Smo::PartitionTable("T", "T2", "T3", "g",
+                                             CompareOp::kNe, Value("b")))
+                  .ok());
+  auto filtered = catalog.GetTable("T2");
   ASSERT_TRUE(filtered.ok());
+  ASSERT_EQ((*filtered)->column(0)->distinct_count(), 2u);
   auto groups = QueryEngine::GroupByRows(
       **filtered, "g",
       {AggregateSpec::Sum("m"), AggregateSpec::Count(), AggregateSpec::Min("m"),
@@ -223,6 +231,119 @@ TEST(QueryEngine, GroupByDictionaryCompleteGroupsAggregateToNull) {
             (GroupRow{Value("b"),
                       {Value(0.0), Value(int64_t{0}), Value::Null(),
                        Value::Null()}}));
+}
+
+// T(K, V, P): 3000 rows, K with 500 values (array containers), V with
+// 7 and P with 4 (dense), in seeded random order.
+std::shared_ptr<const Table> CompactionTable() {
+  Rng rng(7);
+  Schema schema({{"K", DataType::kInt64, false},
+                 {"V", DataType::kInt64, false},
+                 {"P", DataType::kString, false}},
+                {});
+  std::vector<Row> rows;
+  for (int64_t r = 0; r < 3000; ++r) {
+    int64_t k = r < 500 ? r : rng.Uniform(0, 499);
+    rows.push_back({Value(k), Value(rng.Uniform(0, 6)),
+                    Value(std::string(1, static_cast<char>('w' + k % 4)))});
+  }
+  return MakeTable("T", schema, rows);
+}
+
+// SELECT `columns` FROM table WHERE `where` must return exactly the
+// row-store oracle's rows (filtered by `pred`, projected, in order), and
+// each result column's dictionary must hold exactly the values present
+// in its rows, in source-vid order.
+void ExpectCompactSelect(const Table& table,
+                         const std::vector<std::string>& columns,
+                         const ExprPtr& where,
+                         const std::function<bool(const Row&)>& pred) {
+  const std::string label = where->ToString();
+  auto result = QueryEngine::SelectRows(table, columns, where, "out");
+  ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
+  const Table& out = **result;
+  EXPECT_TRUE(out.ValidateInvariants().ok()) << label;
+
+  auto store = MaterializeToRowStore(table).ValueOrDie();
+  auto filtered = FilterRows(*store, pred, "f").ValueOrDie();
+  auto projected = ProjectRows(*filtered, columns, {}, "p").ValueOrDie();
+  std::vector<Row> oracle;
+  projected->Scan([&](RowId, const Row& row) { oracle.push_back(row); });
+  const std::vector<Row> got = out.Materialize();
+  EXPECT_EQ(got, oracle) << label;
+
+  for (size_t c = 0; c < out.num_columns(); ++c) {
+    const Column& col = *out.column(c);
+    const Column& src = *table.ColumnByRef(columns[c]).ValueOrDie();
+    std::set<Value> present;
+    for (const Row& row : got) present.insert(row[c]);
+    ASSERT_EQ(col.distinct_count(), present.size()) << label << " " << c;
+    Vid prev_src = 0;
+    for (Vid v = 0; v < col.distinct_count(); ++v) {
+      EXPECT_GT(col.ValueCount(v), 0u) << label << " " << c;
+      EXPECT_EQ(present.count(col.dict().value(v)), 1u) << label << " " << c;
+      Vid src_vid = src.dict().Lookup(col.dict().value(v)).value();
+      if (v > 0) EXPECT_LT(prev_src, src_vid) << label << " " << c;
+      prev_src = src_vid;
+    }
+  }
+}
+
+TEST(QueryEngine, SelectResultDictionaryHoldsExactlyPresentValues) {
+  auto t = CompactionTable();
+  auto k_of = [](const Row& row) { return row[0].int64(); };
+  // The constrained column of an IN (its candidates are the IN's vids)
+  // next to an unconstrained one.
+  ExpectCompactSelect(
+      *t, {"K", "V"},
+      Expr::In("K", {Value(int64_t{17}), Value(int64_t{3}),
+                     Value(int64_t{400}), Value(3.0)}),
+      [&](const Row& row) {
+        return k_of(row) == 17 || k_of(row) == 3 || k_of(row) == 400;
+      });
+  ExpectCompactSelect(
+      *t, {"V", "P", "K"},
+      Expr::Compare("K", CompareOp::kEq, Value(int64_t{250})),
+      [&](const Row& row) { return k_of(row) == 250; });
+  // Conjunction of a range leaf and a BETWEEN: both constrain.
+  ExpectCompactSelect(
+      *t, {"K", "V", "P"},
+      Expr::And({Expr::Compare("K", CompareOp::kLt, Value(int64_t{40})),
+                 Expr::Between("V", Value(int64_t{2}), Value(int64_t{3}))}),
+      [&](const Row& row) {
+        return k_of(row) < 40 && row[1].int64() >= 2 && row[1].int64() <= 3;
+      });
+  // OR and NOT IN constrain nothing directly: every value is hit-tested.
+  ExpectCompactSelect(
+      *t, {"K", "P"},
+      Expr::Or({Expr::Compare("K", CompareOp::kGt, Value(int64_t{480})),
+                Expr::Compare("P", CompareOp::kEq, Value("x"))}),
+      [&](const Row& row) { return k_of(row) > 480 || row[2].str() == "x"; });
+  ExpectCompactSelect(
+      *t, {"P", "K"},
+      Expr::Not(Expr::In("P", {Value("w"), Value("x"), Value("y")})),
+      [&](const Row& row) { return row[2].str() == "z"; });
+  // Dense selection: most values of every column are present.
+  ExpectCompactSelect(
+      *t, {"V", "K"}, Expr::Compare("V", CompareOp::kNe, Value(int64_t{0})),
+      [&](const Row& row) { return row[1].int64() != 0; });
+}
+
+TEST(QueryEngine, EmptySelectionYieldsZeroRowTableWithSchema) {
+  auto t = CompactionTable();
+  auto empty = QueryEngine::SelectRows(
+      *t, {"P", "K"}, Expr::In("K", {Value(int64_t{-1}), Value(9000.0)}),
+      "none");
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  const Table& out = **empty;
+  EXPECT_EQ(out.rows(), 0u);
+  ASSERT_EQ(out.num_columns(), 2u);
+  EXPECT_EQ(out.schema().column(0).name, "P");
+  EXPECT_EQ(out.schema().column(1).name, "K");
+  EXPECT_EQ(out.column(0)->distinct_count(), 0u);
+  EXPECT_EQ(out.column(1)->distinct_count(), 0u);
+  EXPECT_TRUE(out.ValidateInvariants().ok());
+  EXPECT_TRUE(out.Materialize().empty());
 }
 
 TEST(QueryEngine, DuplicateProjectionColumnsAreAnErrorWithPositions) {

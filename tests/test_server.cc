@@ -384,6 +384,59 @@ TEST(Admission, ClassifyStatement) {
             Lane::kPoint);
 }
 
+// A batch group's SELECTs project the group's one shared selection
+// through QueryEngine::ProjectSelection: each answer equals the
+// statement executed alone — rows, compact dictionaries, code words and
+// error text alike.
+TEST(Batch, SharedSelectionProjectsLikeTheEngine) {
+  Catalog catalog;
+  CODS_CHECK_OK(catalog.AddTable(testing::RandomFdTable(2000, 300, 11)));
+  auto where = [] {
+    return Expr::In("K", {Value(int64_t{5}), Value(int64_t{77}),
+                          Value(int64_t{299})});
+  };
+  const std::vector<QueryRequest> requests = {
+      QueryRequest::Select("R", {"K", "V"}, where(), "a"),
+      QueryRequest::Select("R", {"P"}, where(), "b"),
+      QueryRequest::Count("R", where()),
+      QueryRequest::Select("R", {"K", "V"}, where(), "a"),
+      QueryRequest::Select("R", {"K", "R.K"}, where(), "dup"),
+  };
+  std::vector<const QueryRequest*> batch;
+  for (const QueryRequest& q : requests) batch.push_back(&q);
+  server::BatchStats stats;
+  std::vector<server::BatchOutcome> outcomes =
+      server::ExecuteQueryBatch(catalog, batch, nullptr, &stats);
+  ASSERT_EQ(outcomes.size(), requests.size());
+  EXPECT_EQ(stats.shared_groups, 1u);
+  EXPECT_EQ(stats.batch_hits, requests.size() - 1);
+  QueryEngine engine(&catalog);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    Result<QueryResult> alone = engine.Execute(requests[i]);
+    ASSERT_EQ(outcomes[i].status.ok(), alone.ok()) << i;
+    if (!alone.ok()) {
+      EXPECT_EQ(outcomes[i].status.ToString(), alone.status().ToString());
+      continue;
+    }
+    if (requests[i].verb == QueryRequest::Verb::kCount) {
+      EXPECT_EQ(outcomes[i].result.count, alone->count);
+      continue;
+    }
+    const Table& shared = *outcomes[i].result.table;
+    const Table& own = *alone->table;
+    ASSERT_GT(own.rows(), 0u);
+    EXPECT_EQ(shared.schema().ToString(), own.schema().ToString()) << i;
+    ASSERT_EQ(shared.num_columns(), own.num_columns());
+    for (size_t c = 0; c < own.num_columns(); ++c) {
+      EXPECT_EQ(shared.column(c)->dict().values(),
+                own.column(c)->dict().values())
+          << i << " col " << c;
+      EXPECT_EQ(shared.column(c)->bitmaps(), own.column(c)->bitmaps())
+          << i << " col " << c;
+    }
+  }
+}
+
 TEST(Admission, BoundedQueueBackpressureAndDrain) {
   std::mutex mu;
   std::condition_variable cv;
