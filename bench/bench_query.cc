@@ -21,15 +21,23 @@
 //     sides duplicated).
 //   * BM_Query_OrderByLimit: ORDER BY + LIMIT over a filtered select,
 //     full-sort vs top-100.
+//   * BM_Query_OrderByWhereLimit: SELECT ... WHERE ... ORDER BY K [DESC]
+//     LIMIT 100 through the engine at ~1% and ~50% selectivity — the
+//     rank-ordered walk projects only the rows it picks.
+//   * BM_Query_JoinCountWhere: COUNT(*) over the key-FK join with a
+//     dimension-side WHERE, and with a fact-side conjunct as well —
+//     pushed below the join onto the count-only plan.
 //
-// All series sweep --threads 1/2/4/8 via the ExecContext and carry the
-// threads / wall_ms counters for the regression gate.
+// The original series sweep --threads 1/2/4/8 via the ExecContext; the
+// engine-level ORDER BY / join COUNT series run at one thread. All
+// carry the threads / wall_ms counters for the regression gate.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
 #include "query/join.h"
 #include "query/query_engine.h"
+#include "storage/catalog.h"
 
 namespace cods {
 namespace {
@@ -223,6 +231,63 @@ void BM_Query_OrderByLimit(benchmark::State& state) {
       static_cast<double>(filtered.ValueOrDie()->rows());
 }
 
+// SELECT * FROM R WHERE V < t ORDER BY K [DESC] LIMIT 100 through the
+// engine: the rank-ordered walk over K's dictionary picks 100 rows of
+// the selection, and only those are projected. `sel_pct` positions t so
+// the WHERE keeps ~1% or ~50% of the rows.
+void BM_Query_OrderByWhereLimit(benchmark::State& state) {
+  const int64_t pct = state.range(0);
+  const bool desc = state.range(1) != 0;
+  auto r = bench::CachedR(kDistinct);
+  Catalog catalog;
+  CODS_CHECK_OK(catalog.AddTable(r));
+  QueryEngine engine(&catalog);
+  QueryRequest req = QueryRequest::Select(
+      r->name(), {},
+      Expr::Compare(kPayloadColumn, CompareOp::kLt, I64(1000 * pct / 100)));
+  req.OrderBy(kKeyColumn, desc).Limit(100);
+  ExecContext ctx(1);
+  bench::RunMeta meta(state, ctx.num_threads());
+  for (auto _ : state) {
+    auto out = engine.Execute(req, &ctx);
+    CODS_CHECK(out.ok()) << out.status().ToString();
+    CODS_CHECK(out.ValueOrDie().table->rows() == 100);
+    benchmark::DoNotOptimize(out);
+  }
+  state.counters["rows"] = static_cast<double>(r->rows());
+}
+
+// SELECT COUNT(*) FROM S JOIN T ON S.K = T.K WHERE T.P < 400 [AND
+// S.V = 7]: each conjunct touches one side, so the WHERE evaluates on
+// the base tables and the count-only join folds the side selections
+// into its per-value popcount products — no join row is built.
+void BM_Query_JoinCountWhere(benchmark::State& state) {
+  const bool fact_side = state.range(0) != 0;
+  const GeneratedPair& pair = bench::CachedPair(kDistinct);
+  Catalog catalog;
+  CODS_CHECK_OK(catalog.AddTable(pair.s));
+  CODS_CHECK_OK(catalog.AddTable(pair.t));
+  QueryEngine engine(&catalog);
+  const std::string s = pair.s->name(), t = pair.t->name();
+  ExprPtr where = Expr::Compare(t + "." + kDependentColumn, CompareOp::kLt,
+                                I64(400));
+  if (fact_side) {
+    where = Expr::And({where, Expr::Compare(s + "." + kPayloadColumn,
+                                            CompareOp::kEq, I64(7))});
+  }
+  QueryRequest req = QueryRequest::Count(s, where);
+  req.JoinOn(t, s + "." + kKeyColumn, t + "." + kKeyColumn);
+  ExecContext ctx(1);
+  bench::RunMeta meta(state, ctx.num_threads());
+  for (auto _ : state) {
+    auto out = engine.Execute(req, &ctx);
+    CODS_CHECK(out.ok()) << out.status().ToString();
+    CODS_CHECK(out.ValueOrDie().join_path == "count-only");
+    benchmark::DoNotOptimize(out);
+  }
+  state.counters["rows"] = static_cast<double>(pair.s->rows());
+}
+
 #define CODS_QUERY_BENCH(fn) \
   BENCHMARK(fn)->Unit(benchmark::kMillisecond)->MinTime(0.1)
 
@@ -262,6 +327,17 @@ CODS_QUERY_BENCH(BM_Query_OrderByLimit)
     ->Args({-1, 2})
     ->Args({-1, 4})
     ->Args({-1, 8});
+
+// Top-100 by the rank walk: 1% / 50% WHERE, ASC / DESC.
+CODS_QUERY_BENCH(BM_Query_OrderByWhereLimit)
+    ->ArgNames({"sel_pct", "desc"})
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->Args({50, 0})
+    ->Args({50, 1});
+// Count-only join: dimension-side WHERE, then both sides.
+CODS_QUERY_BENCH(BM_Query_JoinCountWhere)
+    ->ArgName("fact_side")->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace cods

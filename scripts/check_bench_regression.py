@@ -50,9 +50,12 @@ Behavior:
     shrinking the iteration count. The factor is deliberately loose —
     it absorbs runner-speed spread while still catching an
     across-the-board collapse.
+  * A current BENCH_<name>.json with no committed baseline fails the
+    gate: every bench binary is gated, none silently skipped.
   * ``--update`` rewrites the baselines from the current files instead of
     comparing (use after an intentional perf change, and commit them).
-  * Exit codes: 0 ok, 1 regression found, 2 usage/IO error.
+  * Exit codes: 0 ok, 1 regression found or a bench file without a
+    baseline, 2 usage/IO error.
 """
 
 import argparse
@@ -391,13 +394,24 @@ def main():
             print(f"updated {dst}")
         return 0
 
+    # Every bench file needs a committed baseline: a bench without one
+    # would be gated on nothing, silently.
+    missing = [
+        f for f in current
+        if not os.path.exists(os.path.join(args.baseline_dir, f))
+    ]
+    for f in missing:
+        print(
+            f"ERROR no baseline for {f} (commit one with --update)",
+            file=sys.stderr,
+        )
+
     all_regressions = []
     compared = 0
     skipped = 0
     for f in current:
         baseline = os.path.join(args.baseline_dir, f)
-        if not os.path.exists(baseline):
-            print(f"WARN no baseline for {f}; skipping (commit one with --update)")
+        if f in missing:
             continue
         result = compare(
             baseline, os.path.join(args.current_dir, f), args.threshold,
@@ -412,6 +426,9 @@ def main():
         compared += 1
         all_regressions += result
 
+    if missing:
+        print(f"\n{len(missing)} bench file(s) without a baseline")
+        return 1
     if compared == 0:
         if skipped > 0:
             # Every baseline was skipped for a context mismatch: the gate

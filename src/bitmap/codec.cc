@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 #include <sstream>
 
 #include "bitmap/wah_filter.h"
@@ -211,19 +212,26 @@ size_t GallopTo(const std::vector<uint32_t>& v, size_t from, uint32_t x) {
 }
 
 // Sorted-set intersection; galloping when one side is much smaller.
-// `emit(pos)` is called for each common position in increasing order.
+// `emit(i)` is called with the index into `a` of each common position,
+// in increasing order.
 template <typename Emit>
 void IntersectArrays(const std::vector<uint32_t>& a,
                      const std::vector<uint32_t>& b, Emit&& emit) {
-  const std::vector<uint32_t>* small = &a;
-  const std::vector<uint32_t>* large = &b;
-  if (small->size() > large->size()) std::swap(small, large);
-  if (small->size() * 8 < large->size()) {
+  if (a.size() * 8 < b.size()) {
     size_t j = 0;
-    for (uint32_t x : *small) {
-      j = GallopTo(*large, j, x);
-      if (j == large->size()) break;
-      if ((*large)[j] == x) emit(x);
+    for (size_t i = 0; i < a.size(); ++i) {
+      j = GallopTo(b, j, a[i]);
+      if (j == b.size()) break;
+      if (b[j] == a[i]) emit(i);
+    }
+    return;
+  }
+  if (b.size() * 8 < a.size()) {
+    size_t i = 0;
+    for (uint32_t y : b) {
+      i = GallopTo(a, i, y);
+      if (i == a.size()) break;
+      if (a[i] == y) emit(i);
     }
     return;
   }
@@ -235,7 +243,7 @@ void IntersectArrays(const std::vector<uint32_t>& a,
     } else if (y < x) {
       ++j;
     } else {
-      emit(x);
+      emit(i);
       ++i;
       ++j;
     }
@@ -243,8 +251,8 @@ void IntersectArrays(const std::vector<uint32_t>& a,
 }
 
 // Walks sorted positions against a WAH bitmap's runs, emitting the
-// positions whose bit is set. Shared by the AND-materialize and
-// AND-count array×WAH kernels.
+// index of each position whose bit is set. Shared by the
+// AND-materialize, AND-count and probe array×WAH kernels.
 template <typename Emit>
 void IntersectPositionsWithWah(const std::vector<uint32_t>& positions,
                                const WahBitmap& wah, Emit&& emit) {
@@ -256,7 +264,7 @@ void IntersectPositionsWithWah(const std::vector<uint32_t>& positions,
     if (dec.is_fill()) {
       uint64_t end = offset + dec.remaining_groups() * kWahGroupBits;
       if (dec.fill_value()) {
-        while (i < n && positions[i] < end) emit(positions[i++]);
+        while (i < n && positions[i] < end) emit(i++);
       } else if (end > positions[i]) {
         i = GallopTo(positions, i,
                      end > UINT32_MAX ? UINT32_MAX
@@ -272,7 +280,7 @@ void IntersectPositionsWithWah(const std::vector<uint32_t>& positions,
       uint64_t payload = dec.group_payload();
       uint64_t end = offset + kWahGroupBits;
       while (i < n && positions[i] < end) {
-        if ((payload >> (positions[i] - offset)) & 1) emit(positions[i]);
+        if ((payload >> (positions[i] - offset)) & 1) emit(i);
         ++i;
       }
       offset = end;
@@ -689,11 +697,11 @@ uint64_t CodecAndCount(const ValueBitmap& a, const ValueBitmap& b) {
       switch (y->rep()) {
         case BitmapRep::kArray:
           IntersectArrays(x->array_positions(), y->array_positions(),
-                          [&count](uint32_t) { ++count; });
+                          [&count](size_t) { ++count; });
           return count;
         case BitmapRep::kWah:
           IntersectPositionsWithWah(x->array_positions(), y->wah(),
-                                    [&count](uint32_t) { ++count; });
+                                    [&count](size_t) { ++count; });
           return count;
         case BitmapRep::kBitset: {
           const std::vector<uint64_t>& words = y->bitset_words();
@@ -734,14 +742,15 @@ ValueBitmap CodecAnd(const ValueBitmap& a, const ValueBitmap& b) {
     // The intersection is a subset of the sparse side, so it stays
     // array-eligible; collect positions directly.
     std::vector<uint32_t> out;
+    const std::vector<uint32_t>& xs = x->array_positions();
     switch (y->rep()) {
       case BitmapRep::kArray:
-        IntersectArrays(x->array_positions(), y->array_positions(),
-                        [&out](uint32_t p) { out.push_back(p); });
+        IntersectArrays(xs, y->array_positions(),
+                        [&](size_t i) { out.push_back(xs[i]); });
         break;
       case BitmapRep::kWah:
-        IntersectPositionsWithWah(x->array_positions(), y->wah(),
-                                  [&out](uint32_t p) { out.push_back(p); });
+        IntersectPositionsWithWah(xs, y->wah(),
+                                  [&](size_t i) { out.push_back(xs[i]); });
         break;
       case BitmapRep::kBitset: {
         const std::vector<uint64_t>& words = y->bitset_words();
@@ -846,8 +855,10 @@ WahBitmap CodecAndWah(const ValueBitmap& a, const WahBitmap& selection) {
   switch (a.rep()) {
     case BitmapRep::kArray: {
       WahBitmap out;
-      IntersectPositionsWithWah(a.array_positions(), selection,
-                                [&out](uint32_t p) { out.AppendSetBit(p); });
+      const std::vector<uint32_t>& positions = a.array_positions();
+      IntersectPositionsWithWah(
+          positions, selection,
+          [&](size_t i) { out.AppendSetBit(positions[i]); });
       out.AppendRun(false, a.size() - out.size());
       return out;
     }
@@ -898,7 +909,7 @@ uint64_t CodecAndCountWah(const ValueBitmap& a, const WahBitmap& selection) {
     case BitmapRep::kArray: {
       uint64_t count = 0;
       IntersectPositionsWithWah(a.array_positions(), selection,
-                                [&count](uint32_t) { ++count; });
+                                [&count](size_t) { ++count; });
       return count;
     }
     case BitmapRep::kWah:
@@ -971,6 +982,79 @@ ValueBitmap CodecFilter(const WahPositionFilter& filter,
     }
   }
   return ValueBitmap();
+}
+
+std::vector<uint32_t> CodecProbePositions(
+    const ValueBitmap& vb, const std::vector<uint32_t>& positions) {
+  const uint64_t n = positions.size();
+  std::vector<uint32_t> hits;
+  auto emit = [&hits](size_t j) { hits.push_back(static_cast<uint32_t>(j)); };
+  if (vb.IsAllOnes()) {
+    hits.resize(n);
+    std::iota(hits.begin(), hits.end(), uint32_t{0});
+  } else if (!vb.IsAllZeros()) {
+    switch (vb.rep()) {
+      case BitmapRep::kArray:
+        IntersectArrays(positions, vb.array_positions(), emit);
+        break;
+      case BitmapRep::kWah:
+        IntersectPositionsWithWah(positions, vb.wah(), emit);
+        break;
+      case BitmapRep::kBitset: {
+        const std::vector<uint64_t>& words = vb.bitset_words();
+        for (size_t j = 0; j < n; ++j) {
+          const uint32_t p = positions[j];
+          if ((words[p >> 6] >> (p & 63)) & 1) emit(j);
+        }
+        break;
+      }
+    }
+  }
+  return hits;
+}
+
+// ---- Dense selection -----------------------------------------------------
+
+DenseSelection::DenseSelection(const WahBitmap& selection)
+    : size_(selection.size()), words_(DenseWordCount(selection.size()), 0) {
+  OrWahIntoDense(selection, words_.data(), words_.size());
+}
+
+bool DenseSelection::Pays(const WahBitmap& selection, uint64_t probes) {
+  return probes * selection.NumWords() > DenseWordCount(selection.size());
+}
+
+uint64_t DenseSelection::AndCount(const ValueBitmap& vb) const {
+  CODS_DCHECK(vb.size() == size_);
+  if (vb.IsAllZeros()) return 0;
+  switch (vb.rep()) {
+    case BitmapRep::kArray: {
+      uint64_t count = 0;
+      for (uint32_t p : vb.array_positions()) {
+        count += (words_[p >> 6] >> (p & 63)) & 1;
+      }
+      return count;
+    }
+    case BitmapRep::kWah:
+      return CountWahAndDense(vb.wah(), words_.data(), words_.size());
+    case BitmapRep::kBitset: {
+      const std::vector<uint64_t>& wb = vb.bitset_words();
+      uint64_t count = 0;
+      for (size_t i = 0; i < wb.size(); ++i) {
+        count += static_cast<uint64_t>(std::popcount(words_[i] & wb[i]));
+      }
+      return count;
+    }
+  }
+  return 0;
+}
+
+void DenseSelection::AndPositions(const ValueBitmap& vb,
+                                  std::vector<uint64_t>* out) const {
+  CODS_DCHECK(vb.size() == size_);
+  vb.ForEachSetBit([&](uint64_t pos) {
+    if ((words_[pos >> 6] >> (pos & 63)) & 1) out->push_back(pos);
+  });
 }
 
 std::vector<ValueBitmap> ToValueBitmaps(std::vector<WahBitmap> wahs) {

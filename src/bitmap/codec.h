@@ -253,6 +253,42 @@ uint64_t CodecOrManyCount(const std::vector<const ValueBitmap*>& operands,
 ValueBitmap CodecFilter(const WahPositionFilter& filter,
                         const ValueBitmap& vb);
 
+/// The selection-driven twin of CodecFilter: the indices j, increasing,
+/// with vb[positions[j]] set. It walks the positions and probes the
+/// value — O(1) per position for a bitset, galloping for an array, one
+/// run walk for WAH — so under a sparse selection the cost follows the
+/// selection, not the value's popcount, and no domain-sized
+/// WahPositionFilter is needed. `positions` must be strictly
+/// increasing and < vb.size(); FromPositions(result, positions.size())
+/// equals CodecFilter through a filter over the same positions.
+std::vector<uint32_t> CodecProbePositions(
+    const ValueBitmap& vb, const std::vector<uint32_t>& positions);
+
+/// A selection expanded once into raw words, for callers that probe it
+/// with many value bitmaps (the count-only join's per-value counts, the
+/// ORDER BY walk). CodecAndCountWah / CodecAndWah re-walk the
+/// selection's code words on every call; a dense probe costs only the
+/// value's own positions (array), words (bitset) or code words (WAH) —
+/// its set bits, for AndPositions.
+class DenseSelection {
+ public:
+  explicit DenseSelection(const WahBitmap& selection);
+
+  /// The size rule: `probes` WAH walks of `selection` cost more code
+  /// words than one dense copy (one word per 64 rows).
+  static bool Pays(const WahBitmap& selection, uint64_t probes);
+
+  /// |vb & selection|.
+  uint64_t AndCount(const ValueBitmap& vb) const;
+
+  /// Appends the positions of vb & selection to *out, increasing.
+  void AndPositions(const ValueBitmap& vb, std::vector<uint64_t>* out) const;
+
+ private:
+  uint64_t size_;
+  std::vector<uint64_t> words_;
+};
+
 /// Converts a freshly built WAH vector into codec form (serial; callers
 /// with an ExecContext parallelize per element themselves).
 std::vector<ValueBitmap> ToValueBitmaps(std::vector<WahBitmap> wahs);

@@ -95,55 +95,58 @@ Result<std::shared_ptr<const Column>> FilterColumnBitmaps(
                                std::move(filtered), filter.num_positions()));
 }
 
+bool ProbeProjectionPays(uint64_t candidates, uint64_t selected,
+                         uint64_t rows) {
+  return ChooseBitmapRep(selected, rows) == BitmapRep::kArray &&
+         candidates * selected <= rows / 8;
+}
+
 Result<std::shared_ptr<const Column>> ProjectPresentValues(
     const ExecContext& ctx, const Column& column, const ValueBitmap& selection,
-    const WahPositionFilter& filter, const std::vector<Vid>* candidates) {
+    const WahPositionFilter* filter, const std::vector<Vid>* candidates) {
   if (column.encoding() != ColumnEncoding::kWahBitmap) {
     return Status::InvalidArgument("SELECT requires WAH-encoded columns");
   }
+  const uint64_t rows = selection.CountOnes();
+  CODS_CHECK(rows == 0 || filter != nullptr ||
+             selection.rep() == BitmapRep::kArray)
+      << "selection-driven projection needs an array selection";
   const uint64_t n =
       candidates != nullptr ? candidates->size() : column.distinct_count();
   auto vid_at = [&](uint64_t i) {
     return candidates != nullptr ? (*candidates)[i] : static_cast<Vid>(i);
   };
-  // A sparse (array) selection hit-tests every candidate first: the
-  // count gallops over the few selected positions, so absent values
-  // cost no container. A denser selection hits most values anyway, and
-  // testing an array value against it would re-walk the selection's
-  // runs once per value; there every candidate is filtered directly
-  // (O(1) membership per set bit) and the empty results are dropped.
-  std::vector<Vid> tested;
-  if (selection.rep() == BitmapRep::kArray || selection.IsAllZeros()) {
-    std::vector<char> hit(n, 0);
-    CODS_RETURN_NOT_OK(ParallelFor(ctx, 0, n, 256, [&](uint64_t i) {
-      hit[i] = CodecAndCount(selection, column.bitmap(vid_at(i))) != 0;
-      return Status::OK();
-    }));
-    for (uint64_t i = 0; i < n; ++i) {
-      if (hit[i]) tested.push_back(vid_at(i));
+  // Probes keep bare position lists until the present values are
+  // known, so an absent value allocates nothing.
+  const uint64_t tasks = rows == 0 ? 0 : n;
+  std::vector<std::vector<uint32_t>> hits(filter == nullptr ? tasks : 0);
+  std::vector<ValueBitmap> filtered(filter != nullptr ? tasks : 0);
+  CODS_RETURN_NOT_OK(ParallelFor(ctx, 0, tasks, 16, [&](uint64_t i) {
+    const ValueBitmap& vb = column.bitmap(vid_at(i));
+    if (filter != nullptr) {
+      filtered[i] = CodecFilter(*filter, vb);
+    } else {
+      hits[i] = CodecProbePositions(vb, selection.array_positions());
     }
-  } else {
-    tested.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) tested.push_back(vid_at(i));
-  }
-  std::vector<ValueBitmap> filtered(tested.size());
-  CODS_RETURN_NOT_OK(ParallelFor(ctx, 0, tested.size(), 16, [&](uint64_t j) {
-    filtered[j] = CodecFilter(filter, column.bitmap(tested[j]));
     return Status::OK();
   }));
   Dictionary dict;
   std::vector<ValueBitmap> present;
-  for (size_t j = 0; j < tested.size(); ++j) {
-    if (filtered[j].IsAllZeros()) continue;
-    dict.GetOrInsert(column.dict().value(tested[j]));
-    present.push_back(std::move(filtered[j]));
+  for (uint64_t i = 0; i < tasks; ++i) {
+    if (filter != nullptr ? filtered[i].IsAllZeros() : hits[i].empty()) {
+      continue;
+    }
+    dict.GetOrInsert(column.dict().value(vid_at(i)));
+    present.push_back(filter != nullptr
+                          ? std::move(filtered[i])
+                          : ValueBitmap::FromPositions(std::move(hits[i]),
+                                                       rows));
   }
   // Source entries are pairwise distinct (NaNs included: each fails to
   // hash-match and gets its own vid again), so vids stay aligned.
   CODS_CHECK(dict.size() == present.size());
-  return std::shared_ptr<const Column>(
-      Column::FromValueBitmaps(column.type(), std::move(dict),
-                               std::move(present), filter.num_positions()));
+  return std::shared_ptr<const Column>(Column::FromValueBitmaps(
+      column.type(), std::move(dict), std::move(present), rows));
 }
 
 // ---------------------------------------------------------------------------

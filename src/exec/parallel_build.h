@@ -15,7 +15,8 @@
 // FilterColumnBitmaps for catalog tables, ProjectPresentValues for
 // SELECT results. The latter keeps only the values the selection hits,
 // so a point SELECT over a high-cardinality column builds a few bitmaps
-// instead of one per dictionary value.
+// instead of one per dictionary value, and under a sparse selection it
+// probes the selected positions instead of filtering each value's rows.
 
 #ifndef CODS_EXEC_PARALLEL_BUILD_H_
 #define CODS_EXEC_PARALLEL_BUILD_H_
@@ -53,22 +54,32 @@ Result<std::shared_ptr<const Column>> FilterColumnBitmaps(
     const ExecContext& ctx, const Column& column,
     const WahPositionFilter& filter, const std::string& op_name);
 
-/// The SELECT-result projection of `column` onto the selected rows:
-/// `selection` holds them as a value bitmap and `filter` indexes the
-/// same positions (re-basing, CodecFilter). Under a sparse selection a
-/// value bitmap with no selected row is skipped after one CodecAndCount
-/// hit test, without building a container, so the cost follows the
-/// values present, not the dictionary; a denser selection filters every
-/// candidate and drops the empty results. The result's dictionary holds
-/// exactly the present values, in source-vid order — a pure function of
-/// (column, selection), bit-identical at every thread count.
-/// `candidates` (sorted, or null for every vid) restricts the hit tests
-/// when the caller knows each selected row holds one of those vids.
-/// SELECT results are never catalog tables; catalog outputs use
+/// The size rule between the two ways ProjectPresentValues can run:
+/// probing `candidates` values at `selected` positions of an array
+/// selection over `rows` rows pays when candidates × selected ≤ rows/8.
+/// Probes that few mean the values average at least 8× the selection,
+/// where a probe gallops; otherwise one pass over the values' rows
+/// (a position filter, or a decode) is cheaper.
+bool ProbeProjectionPays(uint64_t candidates, uint64_t selected,
+                         uint64_t rows);
+
+/// The SELECT-result projection of `column` onto the selected rows,
+/// held in `selection` as a value bitmap. With a null `filter` the
+/// projection is selection-driven: `selection` must be an array, and
+/// every candidate is probed at the selected positions only
+/// (CodecProbePositions), so an absent value costs no container and no
+/// domain-sized filter exists. With a `filter` (indexing the same
+/// positions) every candidate is shrunk through it instead, for a
+/// selection too dense to drive the probes (ProbeProjectionPays). The
+/// result keeps only the values present, in source-vid order — a pure
+/// function of (column, selection), bit-identical at every thread
+/// count. `candidates` (sorted, or null for every vid) restricts the
+/// work when the caller knows each selected row holds one of those
+/// vids. SELECT results are never catalog tables; catalog outputs use
 /// FilterColumnBitmaps.
 Result<std::shared_ptr<const Column>> ProjectPresentValues(
     const ExecContext& ctx, const Column& column, const ValueBitmap& selection,
-    const WahPositionFilter& filter, const std::vector<Vid>* candidates);
+    const WahPositionFilter* filter, const std::vector<Vid>* candidates);
 
 }  // namespace cods
 

@@ -1,5 +1,6 @@
 #include "query/join.h"
 
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -74,27 +75,6 @@ std::shared_ptr<const Column> FinishColumn(DataType type,
     bm.AppendRun(false, rows - bm.size());
   }
   return Column::FromBitmaps(type, dict, std::move(builders), rows);
-}
-
-// Every output column is qualified `<table>.<column>`, the reference
-// shape Schema::ResolveColumnRef matches by suffix; the right join
-// column is elided (its values equal the left one's).
-Result<Schema> QualifiedOutSchema(const Table& left, const Table& right,
-                                  size_t right_join) {
-  std::vector<ColumnSpec> specs;
-  specs.reserve(left.num_columns() + right.num_columns() - 1);
-  for (size_t i = 0; i < left.num_columns(); ++i) {
-    ColumnSpec spec = left.schema().column(i);
-    spec.name = left.name() + "." + spec.name;
-    specs.push_back(std::move(spec));
-  }
-  for (size_t i = 0; i < right.num_columns(); ++i) {
-    if (i == right_join) continue;
-    ColumnSpec spec = right.schema().column(i);
-    spec.name = right.name() + "." + spec.name;
-    specs.push_back(std::move(spec));
-  }
-  return Schema::Make(std::move(specs), {});
 }
 
 // ---- Key–FK shape (§2.5.1, SQL semantics) ---------------------------------
@@ -328,10 +308,31 @@ std::vector<Match> IntersectJoinColumns(const Column& lcol,
 
 }  // namespace
 
-Result<uint64_t> CompressedEquiJoinCount(const Table& left,
-                                         const Table& right,
-                                         size_t left_join, size_t right_join,
-                                         JoinStats* stats) {
+Result<Schema> JoinResultSchema(const Table& left, const Table& right,
+                                size_t right_join) {
+  // Every output column is qualified `<table>.<column>`, the reference
+  // shape Schema::ResolveColumnRef matches by suffix; the right join
+  // column is elided (its values equal the left one's).
+  std::vector<ColumnSpec> specs;
+  specs.reserve(left.num_columns() + right.num_columns() - 1);
+  for (size_t i = 0; i < left.num_columns(); ++i) {
+    ColumnSpec spec = left.schema().column(i);
+    spec.name = left.name() + "." + spec.name;
+    specs.push_back(std::move(spec));
+  }
+  for (size_t i = 0; i < right.num_columns(); ++i) {
+    if (i == right_join) continue;
+    ColumnSpec spec = right.schema().column(i);
+    spec.name = right.name() + "." + spec.name;
+    specs.push_back(std::move(spec));
+  }
+  return Schema::Make(std::move(specs), {});
+}
+
+Result<uint64_t> CompressedEquiJoinCount(
+    const Table& left, const Table& right, size_t left_join,
+    size_t right_join, JoinStats* stats, const WahBitmap* left_selection,
+    const WahBitmap* right_selection, const ExecContext* ctx) {
   CODS_CHECK(left_join < left.num_columns());
   CODS_CHECK(right_join < right.num_columns());
   CODS_RETURN_NOT_OK(CheckJoinTypes(left, right, left_join, right_join));
@@ -351,8 +352,54 @@ Result<uint64_t> CompressedEquiJoinCount(const Table& left,
     stats->matched_values = matches.size();
     stats->path = "count-only";
   }
+  // A side's count per matched value: its popcount, or |selection ∧
+  // value| when the side is filtered. A selection that many values
+  // probe is densified once, so each probe costs the value's own words.
+  struct Side {
+    const WahBitmap* selection = nullptr;
+    std::optional<DenseSelection> dense;
+    uint64_t Count(const ValueBitmap& vb, uint64_t ones) const {
+      if (selection == nullptr) return ones;
+      return dense ? dense->AndCount(vb) : CodecAndCountWah(vb, *selection);
+    }
+  };
+  Side sides[2];
+  const WahBitmap* selections[2] = {left_selection, right_selection};
+  const uint64_t rows[2] = {left.rows(), right.rows()};
+  for (int s = 0; s < 2; ++s) {
+    const WahBitmap* sel = selections[s];
+    if (sel != nullptr && sel->size() != rows[s]) {
+      return Status::InvalidArgument(
+          "join selection covers " + std::to_string(sel->size()) +
+          " rows, its side has " + std::to_string(rows[s]));
+    }
+    if (sel == nullptr || sel->IsAllOnes()) continue;
+    if (sel->IsAllZeros()) return uint64_t{0};
+    sides[s].selection = sel;
+    if (DenseSelection::Pays(*sel, matches.size())) {
+      sides[s].dense.emplace(*sel);
+    }
+  }
+  // One product slot per matched value, summed afterwards: integer
+  // addition, so the total is exact at every thread count.
+  std::vector<uint64_t> products(matches.size(), 0);
+  CODS_RETURN_NOT_OK(
+      ParallelFor(ResolveContext(ctx), 0, matches.size(), 64, [&](uint64_t k) {
+        const Match& m = matches[k];
+        // The smaller side first: a zero there skips the other probe.
+        const bool left_first = m.n1 <= m.n2;
+        const uint64_t a =
+            left_first ? sides[0].Count(lcol->bitmap(m.left_vid), m.n1)
+                       : sides[1].Count(rcol->bitmap(m.right_vid), m.n2);
+        if (a == 0) return Status::OK();
+        const uint64_t b =
+            left_first ? sides[1].Count(rcol->bitmap(m.right_vid), m.n2)
+                       : sides[0].Count(lcol->bitmap(m.left_vid), m.n1);
+        products[k] = a * b;
+        return Status::OK();
+      }));
   uint64_t count = 0;
-  for (const Match& m : matches) count += m.n1 * m.n2;
+  for (uint64_t p : products) count += p;
   return count;
 }
 
@@ -374,7 +421,7 @@ Result<std::shared_ptr<const Table>> CompressedEquiJoin(
   const Column& rcol = *right.column(right_join);
   CODS_RETURN_NOT_OK(CheckJoinTypes(left, right, left_join, right_join));
   CODS_ASSIGN_OR_RETURN(Schema out_schema,
-                        QualifiedOutSchema(left, right, right_join));
+                        JoinResultSchema(left, right, right_join));
   ExecContext exec = ResolveContext(ctx);
 
   bool left_unique, right_unique;

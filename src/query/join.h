@@ -30,6 +30,7 @@
 #include <memory>
 #include <string>
 
+#include "bitmap/wah_bitmap.h"
 #include "exec/exec.h"
 #include "storage/table.h"
 
@@ -39,7 +40,7 @@ namespace cods {
 /// benches).
 struct JoinStats {
   /// Which shape ran: "fk-right" (right join column unique), "fk-left",
-  /// or "general".
+  /// "general", or "count-only" (CompressedEquiJoinCount).
   std::string path;
   /// Distinct join values present on both sides.
   uint64_t matched_values = 0;
@@ -63,14 +64,27 @@ Result<std::shared_ptr<const Table>> CompressedEquiJoin(
     size_t right_join, const std::string& out_name,
     const ExecContext* ctx = nullptr, JoinStats* stats = nullptr);
 
+/// The join result's schema — every column of `left`, then every column
+/// of `right` but its join column, each renamed `<table>.<column>` —
+/// without building the join (references bind against it up front).
+Result<Schema> JoinResultSchema(const Table& left, const Table& right,
+                                size_t right_join);
+
 /// Output cardinality of the same join WITHOUT building any output
 /// column: the vid-intersection's per-value popcount products
 /// Σ n1·n2 are the answer (SELECT COUNT(*) over an unfiltered join
-/// never materializes). `stats->path` reports "count-only".
-Result<uint64_t> CompressedEquiJoinCount(const Table& left,
-                                         const Table& right,
-                                         size_t left_join, size_t right_join,
-                                         JoinStats* stats = nullptr);
+/// never materializes). Per-side selections (rows of `left` / `right`,
+/// null = every row) narrow it to Σ |selL ∧ L[v]|·|selR ∧ R[v']| over
+/// the matched values — a WHERE whose conjuncts each touch one side
+/// stays count-only. A selection that many values probe is densified
+/// once (DenseSelection). `stats->path` reports "count-only". Exact
+/// at every thread count.
+Result<uint64_t> CompressedEquiJoinCount(
+    const Table& left, const Table& right, size_t left_join,
+    size_t right_join, JoinStats* stats = nullptr,
+    const WahBitmap* left_selection = nullptr,
+    const WahBitmap* right_selection = nullptr,
+    const ExecContext* ctx = nullptr);
 
 }  // namespace cods
 

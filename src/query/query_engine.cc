@@ -307,7 +307,7 @@ Status ResolveProjection(const Table& table,
   return Status::OK();
 }
 
-// The vids a projection of column `idx` needs to hit-test, or nullopt
+// The vids a projection of column `idx` needs to visit, or nullopt
 // for all of them. Every selected row satisfies each leaf at the root
 // of the normalized WHERE (or directly under a root AND), so a leaf on
 // that column bounds its present values by the leaf's MatchingVids —
@@ -337,33 +337,380 @@ std::optional<std::vector<Vid>> ConstrainedVids(const Table& table,
   return best;
 }
 
+// How one projected column reaches its selected rows: the vids it must
+// visit (a root-level leaf's MatchingVids, or null for all of them),
+// and whether probing those vids at the selected positions pays
+// (ProbeProjectionPays) over a pass across the column's rows.
+struct ColumnPlan {
+  std::optional<std::vector<Vid>> candidates;
+  bool probe = false;
+
+  const std::vector<Vid>* Candidates() const {
+    return candidates ? &*candidates : nullptr;
+  }
+};
+
+std::vector<ColumnPlan> PlanProjection(const Table& table,
+                                       const std::vector<size_t>& indices,
+                                       const ExprPtr& root,
+                                       uint64_t selected) {
+  std::vector<ColumnPlan> plans(indices.size());
+  for (size_t i = 0; i < indices.size(); ++i) {
+    const Column& col = *table.column(indices[i]);
+    if (root != nullptr) {
+      plans[i].candidates = ConstrainedVids(table, indices[i], *root);
+    }
+    plans[i].probe =
+        col.encoding() == ColumnEncoding::kWahBitmap &&
+        ProbeProjectionPays(plans[i].candidates ? plans[i].candidates->size()
+                                                : col.distinct_count(),
+                            selected, table.rows());
+  }
+  return plans;
+}
+
 // The result build of a SELECT: each projected column keeps only the
 // values `selection` hits (ProjectPresentValues), re-based onto the
-// selected rows.
+// selected rows. Columns the probes pay for probe the selected rows;
+// the others share one position filter, built only if one needs it.
 Result<std::shared_ptr<const Table>> BuildSelectResult(
     const Table& table, const std::vector<size_t>& indices, Schema schema,
     const WahBitmap& selection, const ExprPtr& where,
     const std::string& out_name, const ExecContext& exec) {
   const ValueBitmap selected = ValueBitmap::FromWah(selection);
-  WahPositionFilter filter(selection.SetPositions(), table.rows());
-  const ExprPtr root = where != nullptr ? NormalizeExpr(where) : nullptr;
+  const std::vector<ColumnPlan> plans =
+      PlanProjection(table, indices,
+                     where != nullptr ? NormalizeExpr(where) : nullptr,
+                     selected.CountOnes());
+  std::optional<WahPositionFilter> filter;
+  for (const ColumnPlan& plan : plans) {
+    if (!plan.probe && !selected.IsAllZeros()) {
+      filter.emplace(selection.SetPositions(), table.rows());
+      break;
+    }
+  }
   std::vector<std::shared_ptr<const Column>> cols(indices.size());
   // Column tasks nest the per-vid tasks inside ProjectPresentValues.
   CODS_RETURN_NOT_OK(
       ParallelFor(exec, 0, indices.size(), 1, [&](uint64_t i) -> Status {
-        std::optional<std::vector<Vid>> candidates;
-        if (root != nullptr) {
-          candidates = ConstrainedVids(table, indices[i], *root);
-        }
         CODS_ASSIGN_OR_RETURN(
-            cols[i],
-            ProjectPresentValues(exec, *table.column(indices[i]), selected,
-                                 filter,
-                                 candidates ? &*candidates : nullptr));
+            cols[i], ProjectPresentValues(
+                         exec, *table.column(indices[i]), selected,
+                         plans[i].probe || !filter ? nullptr : &*filter,
+                         plans[i].Candidates()));
         return Status::OK();
       }));
   return Table::Make(out_name, std::move(schema), std::move(cols),
-                     filter.num_positions());
+                     selected.CountOnes());
+}
+
+// ---- Join COUNT push-down ---------------------------------------------------
+
+// Per-side row selections of a join WHERE pushed below the join.
+struct JoinSides {
+  std::optional<WahBitmap> selection[2];  // [0] left, [1] right
+
+  // Null for an unfiltered side.
+  const WahBitmap* Selection(int side) const {
+    return selection[side] ? &*selection[side] : nullptr;
+  }
+};
+
+// Calls fn(column reference) for every leaf under `node`; false as soon
+// as fn returns false.
+template <typename Fn>
+bool AllLeafRefs(const Expr& node, Fn&& fn) {
+  switch (node.kind) {
+    case ExprKind::kCompare:
+    case ExprKind::kIn:
+    case ExprKind::kBetween:
+      return fn(node.column);
+    case ExprKind::kNot:
+    case ExprKind::kAnd:
+    case ExprKind::kOr:
+      for (const ExprPtr& child : node.children) {
+        if (!AllLeafRefs(*child, fn)) return false;
+      }
+      return true;
+  }
+  return false;
+}
+
+// Splits the (alias-rewritten) WHERE of a join COUNT into one
+// conjunction per side and evaluates each on its base table. References
+// bind against the join result's schema exactly as on the built join.
+// nullopt when a root conjunct of the normalized WHERE mixes the sides,
+// a reference does not bind, a referenced column is not WAH-encoded, or
+// a side fails to evaluate — the caller then runs the materializing
+// plan.
+std::optional<JoinSides> PushDownJoinWhere(
+    const ExprPtr& where, const Table& left, const Table& right,
+    size_t right_join, const Schema& joined, const std::string& joined_name,
+    const ExecContext& exec) {
+  const ExprPtr root = NormalizeExpr(where);
+  const std::vector<ExprPtr> conjuncts =
+      root->kind == ExprKind::kAnd ? root->children
+                                   : std::vector<ExprPtr>{root};
+  const Table* tables[2] = {&left, &right};
+  std::vector<ExprPtr> side_conjuncts[2];
+  JoinRefRules to_base;  // join-result reference -> base column name
+  for (const ExprPtr& conjunct : conjuncts) {
+    int side = -1;
+    const bool one_sided = AllLeafRefs(*conjunct, [&](const std::string& ref) {
+      Result<size_t> idx = Table::ResolveColumnRef(joined, joined_name, ref);
+      if (!idx.ok()) return false;
+      const size_t j = idx.ValueOrDie();
+      const int s = j < left.num_columns() ? 0 : 1;
+      if (side >= 0 && side != s) return false;
+      side = s;
+      // Right columns follow the left ones, minus the elided join column.
+      size_t base = j;
+      if (s == 1) {
+        base = j - left.num_columns();
+        if (base >= right_join) ++base;
+      }
+      if (tables[s]->column(base)->encoding() != ColumnEncoding::kWahBitmap) {
+        return false;
+      }
+      to_base.alias[ref] = tables[s]->schema().column(base).name;
+      return true;
+    });
+    if (!one_sided) return std::nullopt;
+    side_conjuncts[side].push_back(conjunct);
+  }
+  JoinSides out;
+  for (int s = 0; s < 2; ++s) {
+    if (side_conjuncts[s].empty()) continue;
+    Result<ExprPtr> base_where =
+        RewriteExprRefs(Expr::And(std::move(side_conjuncts[s])), to_base);
+    if (!base_where.ok()) return std::nullopt;
+    Result<WahBitmap> selection =
+        EvalExpr(*tables[s], base_where.ValueOrDie(), &exec);
+    if (!selection.ok()) return std::nullopt;
+    out.selection[s] = std::move(selection).ValueOrDie();
+  }
+  return out;
+}
+
+// ---- ORDER BY / LIMIT ------------------------------------------------------
+
+// The rows an ORDER BY ... LIMIT returns, in output order, with the sort
+// column's vid of each (empty without a sort column).
+struct PickedRows {
+  std::vector<uint64_t> positions;
+  std::vector<Vid> sort_vids;
+};
+
+// Top-k as a rank-ordered walk. The sort column's dictionary ranks on
+// the total Value order (NaN after every real number); the ranks are
+// visited ASC or DESC and each visited value contributes its selected
+// rows in position order, until `keep` rows are picked. Order-equal
+// values (NaNs get one dictionary entry per occurrence) share a rank and
+// are unioned first, so ties stay in input-position order in both
+// directions. `candidates` (sorted vids, or null for all) bounds the
+// walk when a WHERE leaf constrains the sort column.
+PickedRows WalkRanks(const Column& sort_col, bool desc, uint64_t keep,
+                     const WahBitmap* selection,
+                     const std::vector<Vid>* candidates) {
+  PickedRows out;
+  if (keep == 0) return out;
+  std::vector<Vid> order;
+  if (candidates != nullptr) {
+    order = *candidates;
+  } else {
+    order.resize(sort_col.distinct_count());
+    std::iota(order.begin(), order.end(), Vid{0});
+  }
+  const Dictionary& dict = sort_col.dict();
+  std::stable_sort(order.begin(), order.end(), [&](Vid a, Vid b) {
+    return dict.value(a) < dict.value(b);
+  });
+  std::vector<size_t> rank_start;  // index in `order` where each rank begins
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (i == 0 || dict.value(order[i - 1]) < dict.value(order[i])) {
+      rank_start.push_back(i);
+    }
+  }
+  const size_t ranks = rank_start.size();
+  rank_start.push_back(order.size());
+  // The rows of a value bitmap the selection keeps (all of them without
+  // one), increasing. The WAH interchange kernel re-walks the selection
+  // per probe; once those walks would cost more than one dense copy,
+  // the selection is densified. Output never depends on the switch.
+  std::optional<DenseSelection> dense;
+  uint64_t probes = 0;
+  auto probe = [&](const ValueBitmap& vb, std::vector<uint64_t>* out) {
+    if (selection == nullptr) {
+      vb.ForEachSetBit([out](uint64_t pos) { out->push_back(pos); });
+      return;
+    }
+    if (!dense && DenseSelection::Pays(*selection, ++probes)) {
+      dense.emplace(*selection);
+    }
+    if (dense) {
+      dense->AndPositions(vb, out);
+      return;
+    }
+    const WahBitmap hit = CodecAndWah(vb, *selection);
+    WahSetBitIterator it(hit);
+    for (uint64_t pos; it.Next(&pos);) out->push_back(pos);
+  };
+  out.positions.reserve(keep);
+  std::vector<std::pair<uint64_t, Vid>> tied;
+  for (size_t g = 0; g < ranks && out.positions.size() < keep; ++g) {
+    const size_t r = desc ? ranks - 1 - g : g;
+    const size_t done = out.positions.size();
+    if (rank_start[r + 1] - rank_start[r] == 1) {
+      probe(sort_col.bitmap(order[rank_start[r]]), &out.positions);
+      out.positions.resize(std::min<uint64_t>(out.positions.size(), keep));
+      out.sort_vids.resize(out.positions.size(), order[rank_start[r]]);
+      continue;
+    }
+    // Order-equal values: union their rows in position order.
+    tied.clear();
+    for (size_t i = rank_start[r]; i < rank_start[r + 1]; ++i) {
+      probe(sort_col.bitmap(order[i]), &out.positions);
+      for (size_t j = done; j < out.positions.size(); ++j) {
+        tied.emplace_back(out.positions[j], order[i]);
+      }
+      out.positions.resize(done);
+    }
+    std::sort(tied.begin(), tied.end());
+    for (size_t j = 0; j < tied.size() && done + j < keep; ++j) {
+      out.positions.push_back(tied[j].first);
+      out.sort_vids.push_back(tied[j].second);
+    }
+  }
+  return out;
+}
+
+// The result column holding `vids[i]` (vids of `src`) at row i; its
+// dictionary keeps only the values present, in source-vid order.
+std::shared_ptr<const Column> GatherColumn(const ExecContext& exec,
+                                           const Column& src,
+                                           std::vector<Vid> vids) {
+  std::vector<Vid> remap(src.distinct_count(), kNoVid);
+  for (Vid v : vids) remap[v] = 0;
+  if (std::find(remap.begin(), remap.end(), kNoVid) == remap.end()) {
+    return Column::FromVids(src.type(), src.dict(), vids, &exec);
+  }
+  Dictionary dict;
+  for (Vid v = 0; v < remap.size(); ++v) {
+    if (remap[v] == kNoVid) continue;
+    remap[v] = static_cast<Vid>(dict.size());
+    dict.GetOrInsert(src.dict().value(v));
+  }
+  for (Vid& v : vids) v = remap[v];
+  return Column::FromVids(src.type(), std::move(dict), vids, &exec);
+}
+
+// SELECT ... [WHERE] [ORDER BY] [LIMIT] at O(selected rows + visited
+// values): the walk picks at most `limit` rows, only those rows are
+// projected (ProjectPresentValues probing the picked set), and the
+// small projection is permuted into output order. A column whose
+// values are too many for probes to pay gathers its decoded vids.
+Result<std::shared_ptr<const Table>> OrderedSelect(
+    const Table& table, const std::vector<std::string>& columns,
+    const ExprPtr& where, const std::string& order_by, bool desc,
+    int64_t limit, const std::string& out_name, const ExecContext& exec) {
+  constexpr size_t kNoColumn = static_cast<size_t>(-1);
+  size_t sort_idx = kNoColumn;
+  if (!order_by.empty()) {
+    CODS_ASSIGN_OR_RETURN(sort_idx, table.ResolveColumnRef(order_by));
+  }
+  std::vector<size_t> indices;
+  Schema schema;
+  CODS_RETURN_NOT_OK(ResolveProjection(table, columns, &indices, &schema));
+  std::optional<WahBitmap> selection;
+  ExprPtr root;
+  if (where != nullptr) {
+    CODS_ASSIGN_OR_RETURN(selection, EvalExpr(table, where, &exec));
+    root = NormalizeExpr(where);
+  }
+  const uint64_t rows = table.rows();
+  const uint64_t selected = selection ? selection->CountOnes() : rows;
+  const uint64_t keep =
+      limit < 0 ? selected
+                : std::min<uint64_t>(static_cast<uint64_t>(limit), selected);
+
+  PickedRows picked;
+  if (sort_idx != kNoColumn) {
+    std::shared_ptr<const Column> sort_col = table.column(sort_idx);
+    if (sort_col->encoding() != ColumnEncoding::kWahBitmap) {
+      sort_col = sort_col->WithEncoding(ColumnEncoding::kWahBitmap);
+    }
+    std::optional<std::vector<Vid>> candidates;
+    if (root != nullptr) candidates = ConstrainedVids(table, sort_idx, *root);
+    picked = WalkRanks(*sort_col, desc, keep,
+                       selection ? &*selection : nullptr,
+                       candidates ? &*candidates : nullptr);
+  } else if (selection) {
+    // Pure LIMIT: the first `keep` selected rows.
+    WahSetBitIterator it(*selection);
+    uint64_t pos;
+    while (picked.positions.size() < keep && it.Next(&pos)) {
+      picked.positions.push_back(pos);
+    }
+  } else {
+    picked.positions.resize(keep);
+    std::iota(picked.positions.begin(), picked.positions.end(), uint64_t{0});
+  }
+
+  // Columns the probes pay for project just the picked rows, in
+  // position order, then permute: out_rank[i] is output row i's index
+  // among the sorted positions. The others decode and gather; the sort
+  // column's vids are known from the walk.
+  const std::vector<ColumnPlan> plans =
+      PlanProjection(table, indices, root, keep);
+  ValueBitmap picked_rows;
+  std::vector<uint32_t> out_rank;
+  if (std::any_of(plans.begin(), plans.end(),
+                  [](const ColumnPlan& p) { return p.probe; })) {
+    std::vector<uint32_t> by_position(keep);
+    std::iota(by_position.begin(), by_position.end(), uint32_t{0});
+    std::sort(by_position.begin(), by_position.end(),
+              [&](uint32_t a, uint32_t b) {
+                return picked.positions[a] < picked.positions[b];
+              });
+    std::vector<uint32_t> sorted(keep);
+    out_rank.resize(keep);
+    for (uint32_t j = 0; j < keep; ++j) {
+      sorted[j] = static_cast<uint32_t>(picked.positions[by_position[j]]);
+      out_rank[by_position[j]] = j;
+    }
+    picked_rows = ValueBitmap::FromPositions(std::move(sorted), rows);
+  }
+  std::vector<std::shared_ptr<const Column>> cols(indices.size());
+  // Column tasks nest the per-vid tasks inside ProjectPresentValues.
+  CODS_RETURN_NOT_OK(
+      ParallelFor(exec, 0, indices.size(), 1, [&](uint64_t i) -> Status {
+        const Column& src = *table.column(indices[i]);
+        if (indices[i] == sort_idx) {
+          cols[i] = GatherColumn(exec, src, picked.sort_vids);
+          return Status::OK();
+        }
+        std::vector<Vid> vids(keep);
+        if (plans[i].probe) {
+          CODS_ASSIGN_OR_RETURN(
+              auto projected,
+              ProjectPresentValues(exec, src, picked_rows, nullptr,
+                                   plans[i].Candidates()));
+          const std::vector<Vid> in_position = projected->DecodeVids(&exec);
+          for (uint64_t j = 0; j < keep; ++j) {
+            vids[j] = in_position[out_rank[j]];
+          }
+          cols[i] = GatherColumn(exec, *projected, std::move(vids));
+        } else {
+          const std::vector<Vid> all =
+              keep > 0 ? src.DecodeVids(&exec) : std::vector<Vid>();
+          for (uint64_t j = 0; j < keep; ++j) {
+            vids[j] = all[picked.positions[j]];
+          }
+          cols[i] = GatherColumn(exec, src, std::move(vids));
+        }
+        return Status::OK();
+      }));
+  return Table::Make(out_name, std::move(schema), std::move(cols), keep);
 }
 
 }  // namespace
@@ -386,6 +733,8 @@ Result<QueryResult> QueryEngine::Execute(const QueryRequest& request,
   std::string group_by = request.group_by;
   std::vector<AggregateSpec> aggregates = request.aggregates;
   std::string order_by = request.order_by;
+  QueryResult result;
+  result.verb = request.verb;
 
   if (!request.join_table.empty()) {
     if (request.join_table == request.table) {
@@ -408,45 +757,74 @@ Result<QueryResult> QueryEngine::Execute(const QueryRequest& request,
         return !li.ok() ? li.status() : ri.status();
       }
     }
-    if (request.verb == QueryRequest::Verb::kCount && where == nullptr) {
-      // COUNT(*) over an unfiltered join never materializes: the
-      // vid-intersection's popcount products are the answer.
-      QueryResult counted;
-      counted.verb = request.verb;
-      CODS_ASSIGN_OR_RETURN(
-          counted.count,
-          CompressedEquiJoinCount(*table, *right, li.ValueOrDie(),
-                                  ri.ValueOrDie()));
-      return counted;
-    }
-    CODS_ASSIGN_OR_RETURN(
-        input, CompressedEquiJoin(*table, *right, li.ValueOrDie(),
-                                  ri.ValueOrDie(),
-                                  request.table + "_" + request.join_table,
-                                  ctx));
+    const std::string joined_name = request.table + "_" + request.join_table;
     // The right join column is elided from the join result (its values
     // equal the left one's); alias references to it onto the kept
     // column so WHERE / GROUP BY / ORDER BY / projections still bind.
     // But when a DIFFERENT left column shares the elided column's bare
     // name, a bare reference must error as ambiguous — suffix
     // resolution would silently bind it to the wrong column.
-    JoinRefRules rules;
     const std::string kept = request.table + "." +
                              table->schema().column(li.ValueOrDie()).name;
     const std::string& right_col =
         right->schema().column(ri.ValueOrDie()).name;
-    rules.alias[request.join_table + "." + right_col] = kept;
-    Result<size_t> bare = input->schema().ResolveColumnRef(right_col);
-    if (!bare.ok()) {
-      rules.alias[right_col] = kept;
-    } else if (input->schema().column(bare.ValueOrDie()).name != kept) {
-      rules.ambiguous = right_col;
-      rules.ambiguous_msg =
-          "ambiguous column '" + right_col + "': both " +
-          input->schema().column(bare.ValueOrDie()).name +
-          " and the elided join column " + request.join_table + "." +
-          right_col + " (kept as " + kept + ") match; qualify the reference";
+    auto rules_over = [&](const Schema& joined) {
+      JoinRefRules rules;
+      rules.alias[request.join_table + "." + right_col] = kept;
+      Result<size_t> bare = joined.ResolveColumnRef(right_col);
+      if (!bare.ok()) {
+        rules.alias[right_col] = kept;
+      } else if (joined.column(bare.ValueOrDie()).name != kept) {
+        rules.ambiguous = right_col;
+        rules.ambiguous_msg =
+            "ambiguous column '" + right_col + "': both " +
+            joined.column(bare.ValueOrDie()).name +
+            " and the elided join column " + request.join_table + "." +
+            right_col + " (kept as " + kept +
+            ") match; qualify the reference";
+      }
+      return rules;
+    };
+    if (request.verb == QueryRequest::Verb::kCount) {
+      // COUNT(*) never materializes the join when every root conjunct
+      // of the WHERE touches one side: the vid-intersection's
+      // per-value products of the side selections are the answer. The
+      // references bind against the join's schema, never built.
+      std::optional<JoinSides> sides;
+      if (where == nullptr) {
+        sides.emplace();
+      } else if (Result<Schema> joined =
+                     JoinResultSchema(*table, *right, ri.ValueOrDie());
+                 joined.ok()) {
+        Result<ExprPtr> rewritten =
+            RewriteExprRefs(where, rules_over(joined.ValueOrDie()));
+        if (rewritten.ok()) {
+          sides = PushDownJoinWhere(rewritten.ValueOrDie(), *table, *right,
+                                    ri.ValueOrDie(), joined.ValueOrDie(),
+                                    joined_name, ResolveContext(ctx));
+        }
+      }
+      if (sides.has_value()) {
+        JoinStats stats;
+        CODS_ASSIGN_OR_RETURN(
+            result.count,
+            CompressedEquiJoinCount(*table, *right, li.ValueOrDie(),
+                                    ri.ValueOrDie(), &stats,
+                                    sides->Selection(0), sides->Selection(1),
+                                    ctx));
+        result.join_path = stats.path;
+        return result;
+      }
+      // A conjunct mixing the sides, or a reference that does not bind
+      // cleanly: the materializing plan below answers (and reports
+      // errors exactly as before).
     }
+    JoinStats stats;
+    CODS_ASSIGN_OR_RETURN(
+        input, CompressedEquiJoin(*table, *right, li.ValueOrDie(),
+                                  ri.ValueOrDie(), joined_name, ctx, &stats));
+    result.join_path = stats.path;
+    const JoinRefRules rules = rules_over(input->schema());
     for (std::string& c : columns) CODS_RETURN_NOT_OK(RemapRef(&c, rules));
     for (AggregateSpec& agg : aggregates) {
       CODS_RETURN_NOT_OK(RemapRef(&agg.column, rules));
@@ -456,61 +834,19 @@ Result<QueryResult> QueryEngine::Execute(const QueryRequest& request,
     CODS_ASSIGN_OR_RETURN(where, RewriteExprRefs(where, rules));
   }
 
-  QueryResult result;
-  result.verb = request.verb;
   switch (request.verb) {
     case QueryRequest::Verb::kSelect: {
       if (order_by.empty() && request.limit < 0) {
         CODS_ASSIGN_OR_RETURN(
             result.table,
             SelectRows(*input, columns, where, request.out_name, ctx));
-        return result;
-      }
-      // The sort column must survive filtering + projection; append it
-      // when the projection would drop it, and strip it afterwards.
-      // The reference is canonicalized against the INPUT table here —
-      // the filtered intermediate is renamed to out_name, so a
-      // `<table>.<col>` reference would no longer strip there.
-      std::vector<std::string> exec_cols = columns;
-      bool appended = false;
-      if (!order_by.empty()) {
-        CODS_ASSIGN_OR_RETURN(size_t order_idx,
-                              input->ResolveColumnRef(order_by));
-        order_by = input->schema().column(order_idx).name;
-        if (!columns.empty()) {
-          bool present = false;
-          for (const std::string& c : columns) {
-            Result<size_t> idx = input->ResolveColumnRef(c);
-            if (idx.ok() && idx.ValueOrDie() == order_idx) {
-              present = true;
-              break;
-            }
-          }
-          if (!present) {
-            exec_cols.push_back(order_by);
-            appended = true;
-          }
-        }
-      }
-      CODS_ASSIGN_OR_RETURN(
-          auto filtered,
-          SelectRows(*input, exec_cols, where, request.out_name, ctx));
-      CODS_ASSIGN_OR_RETURN(
-          auto sorted,
-          SortRows(*filtered, order_by, request.order_desc, request.limit,
-                   request.out_name, ctx));
-      if (appended) {
-        // Strip the helper sort column: a null-WHERE projection of the
-        // first n names is pure column-pointer sharing.
-        std::vector<std::string> kept_names;
-        for (size_t i = 0; i + 1 < sorted->num_columns(); ++i) {
-          kept_names.push_back(sorted->schema().column(i).name);
-        }
+      } else {
         CODS_ASSIGN_OR_RETURN(
-            sorted,
-            SelectRows(*sorted, kept_names, nullptr, request.out_name, ctx));
+            result.table,
+            OrderedSelect(*input, columns, where, order_by,
+                          request.order_desc, request.limit,
+                          request.out_name, ResolveContext(ctx)));
       }
-      result.table = sorted;
       return result;
     }
     case QueryRequest::Verb::kCount: {
@@ -789,100 +1125,8 @@ Result<std::vector<std::pair<Value, double>>> QueryEngine::GroupBySumRows(
 Result<std::shared_ptr<const Table>> QueryEngine::SortRows(
     const Table& table, const std::string& order_by, bool desc,
     int64_t limit, const std::string& out_name, const ExecContext* ctx) {
-  ExecContext exec = ResolveContext(ctx);
-  const uint64_t rows = table.rows();
-  const uint64_t keep =
-      limit < 0 ? rows : std::min<uint64_t>(static_cast<uint64_t>(limit), rows);
-  std::vector<uint64_t> perm;
-  size_t sort_idx = static_cast<size_t>(-1);
-  std::vector<Vid> sort_vids;  // decoded once, reused by the rebuild loop
-  if (order_by.empty()) {
-    // Pure LIMIT: the first `keep` rows in input order.
-    perm.resize(keep);
-    std::iota(perm.begin(), perm.end(), uint64_t{0});
-  } else {
-    CODS_ASSIGN_OR_RETURN(sort_idx, table.ResolveColumnRef(order_by));
-    const Column& sort_col = *table.column(sort_idx);
-    sort_vids = sort_col.DecodeVids(&exec);
-    const std::vector<Vid>& vids = sort_vids;
-    // Rank the dictionary on the total Value order (NaN after every
-    // real number); order-equal values (e.g. int64 3 vs double 3.0
-    // cannot share a column, but NaNs can) keep dictionary order —
-    // stable, so the result is identical at every thread count.
-    const Vid distinct = static_cast<Vid>(sort_col.distinct_count());
-    std::vector<Vid> by_value(distinct);
-    std::iota(by_value.begin(), by_value.end(), Vid{0});
-    std::stable_sort(by_value.begin(), by_value.end(), [&](Vid a, Vid b) {
-      return sort_col.dict().value(a) < sort_col.dict().value(b);
-    });
-    // Order-equal dictionary values (NaNs get one dictionary entry per
-    // occurrence, since NaN != NaN) SHARE a rank: the tiebreak within a
-    // rank is input row position, in both directions — DESC reverses
-    // bucket order, never bucket contents.
-    std::vector<uint64_t> rank(distinct);
-    uint64_t num_ranks = 0;
-    for (Vid i = 0; i < distinct; ++i) {
-      if (i > 0 && sort_col.dict().value(by_value[i - 1]) <
-                       sort_col.dict().value(by_value[i])) {
-        ++num_ranks;
-      }
-      rank[by_value[i]] = num_ranks;
-    }
-    if (distinct > 0) ++num_ranks;
-    // Counting sort of row positions by rank: stable on input position.
-    std::vector<uint64_t> counts(num_ranks, 0);
-    for (uint64_t r = 0; r < rows; ++r) ++counts[rank[vids[r]]];
-    std::vector<uint64_t> offset(num_ranks, 0);
-    uint64_t acc = 0;
-    if (!desc) {
-      for (uint64_t k = 0; k < num_ranks; ++k) {
-        offset[k] = acc;
-        acc += counts[k];
-      }
-    } else {
-      for (uint64_t k = num_ranks; k-- > 0;) {
-        offset[k] = acc;
-        acc += counts[k];
-      }
-    }
-    perm.resize(rows);
-    for (uint64_t r = 0; r < rows; ++r) {
-      perm[offset[rank[vids[r]]]++] = r;
-    }
-    perm.resize(keep);
-  }
-
-  // Rebuild every column compressed from the row → vid gather; one
-  // buffer reused across columns bounds memory at O(keep).
-  std::vector<std::shared_ptr<const Column>> cols(table.num_columns());
-  std::vector<Vid> out_vid_of_row(keep);
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    const Column& src = *table.column(c);
-    if (keep == 0) {
-      cols[c] = Column::FromBitmaps(
-          src.type(), src.dict(),
-          std::vector<WahBitmap>(src.distinct_count()), 0);
-      continue;
-    }
-    std::vector<Vid> decoded;
-    if (c != sort_idx) decoded = src.DecodeVids(&exec);
-    const std::vector<Vid>& vids = c == sort_idx ? sort_vids : decoded;
-    Status st = ParallelForChunked(
-        exec, 0, keep, 4096, [&](uint64_t lo, uint64_t hi) {
-          for (uint64_t j = lo; j < hi; ++j) {
-            out_vid_of_row[j] = vids[perm[j]];
-          }
-          return Status::OK();
-        });
-    CODS_CHECK(st.ok()) << st.ToString();
-    std::vector<WahBitmap> bitmaps = BuildValueBitmaps(
-        exec, out_vid_of_row.data(), keep, src.distinct_count());
-    cols[c] = Column::FromBitmaps(src.type(), src.dict(), std::move(bitmaps),
-                                  keep, &exec);
-  }
-  // Reordering / truncating rows preserves key uniqueness, so the
-  // schema (key included) carries over.
-  return Table::Make(out_name, table.schema(), std::move(cols), keep);
+  return OrderedSelect(table, {}, nullptr, order_by, desc, limit, out_name,
+                       ResolveContext(ctx));
 }
 
 }  // namespace cods

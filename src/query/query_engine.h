@@ -29,9 +29,20 @@
 //     compressed AND per (group, measure-value) pair, never
 //     materializing rows; a WHERE narrows each group bitmap with one
 //     compressed AND first.
-//   * ORDER BY sorts on the total Value order (NaN after every real
-//     number) with a stable tiebreak on row position; LIMIT truncates
-//     before the output columns are built.
+//   * ORDER BY ... LIMIT n is a rank-ordered walk (late
+//     materialization): the sort column's dictionary ranks on the total
+//     Value order (NaN after every real number), ranks are visited ASC
+//     or DESC, and each visited value contributes its bitmap ∧ the
+//     WHERE selection in row-position order until n rows are picked
+//     (order-equal values share a rank, so ties stay stable on input
+//     position in both directions). Only the picked rows are projected,
+//     then permuted; result dictionaries hold exactly the values present,
+//     as for SELECT. No LIMIT is the n = all case of the same walk.
+//   * COUNT(*) over a JOIN whose WHERE conjuncts each touch one side
+//     stays count-only: each side's conjunction evaluates on its base
+//     table and CompressedEquiJoinCount folds the two selections into
+//     its per-value popcount products. A conjunct mixing both sides
+//     runs the materializing plan.
 //
 // Results are bit-identical at every thread count (the determinism
 // contract of src/exec/).
@@ -104,7 +115,9 @@ struct QueryRequest {
 
   /// kSelect: optional sort column and direction; rows order on the
   /// total Value order (NaN last ascending), ties broken by input row
-  /// position (stable at every thread count).
+  /// position (stable at every thread count). The sort column need not
+  /// be projected. Like every SELECT result, an ordered one carries
+  /// present-values dictionaries.
   std::string order_by;
   bool order_desc = false;
 
@@ -159,6 +172,9 @@ struct QueryResult {
   uint64_t count = 0;                                // kCount
   std::vector<GroupRow> groups;                      // kGroupBy
   std::vector<AggregateSpec> aggregates;             // kGroupBy header
+  /// The join plan that ran (JoinStats::path: "count-only", "fk-right",
+  /// "fk-left", "general"); empty without a JOIN.
+  std::string join_path;
 
   /// Short human-readable rendering (the shell's default display). A
   /// 0-row SELECT renders its schema header — an empty result is
@@ -199,9 +215,12 @@ class QueryEngine {
   /// evaluated `where` to `selection` (the server's batch groups share
   /// one eval across statements). `where` may be null; it only narrows
   /// the work: a projected column that a leaf at the root of the WHERE
-  /// (or directly under a root AND) constrains hit-tests just that
-  /// leaf's MatchingVids. Each result column's dictionary holds exactly
-  /// the values present in the selected rows, in source-vid order.
+  /// (or directly under a root AND) constrains visits just that leaf's
+  /// MatchingVids. A sparse selection probes each visited value at the
+  /// selected positions when that pays (ProbeProjectionPays); otherwise
+  /// one position filter serves the columns that need it. Each result
+  /// column's dictionary holds exactly the values present in the
+  /// selected rows, in source-vid order.
   static Result<std::shared_ptr<const Table>> ProjectSelection(
       const Table& table, const std::vector<std::string>& columns,
       const WahBitmap& selection, const ExprPtr& where,
@@ -231,8 +250,10 @@ class QueryEngine {
   /// ORDER BY order_by [DESC] LIMIT limit over `table`: rows reorder on
   /// the total Value order of the sort column (NaN after every real
   /// number), stable on input row position; a negative limit keeps
-  /// everything. `order_by` may be empty (pure LIMIT). Output columns
-  /// are rebuilt compressed from row → vid gathers.
+  /// everything. `order_by` may be empty (pure LIMIT). The whole-table
+  /// case of the rank-ordered walk SELECT ... ORDER BY runs: output
+  /// columns are rebuilt compressed, and their dictionaries hold only
+  /// the values present in the returned rows, in source-vid order.
   static Result<std::shared_ptr<const Table>> SortRows(
       const Table& table, const std::string& order_by, bool desc,
       int64_t limit, const std::string& out_name,

@@ -474,8 +474,34 @@ class Parser {
     return Expr::And(std::move(children));
   }
 
+  // NOT and parentheses nest by recursion on the thread that parses
+  // (the server's event loop), so nesting is capped: a hostile
+  // statement gets a positioned error instead of overflowing the stack.
+  static constexpr int kMaxExprNesting = 256;
+
+  // Holds one nesting level for the scope of a recursive descent.
+  class NestingGuard {
+   public:
+    explicit NestingGuard(int* depth) : depth_(depth) { ++*depth_; }
+    ~NestingGuard() { --*depth_; }
+    NestingGuard(const NestingGuard&) = delete;
+    NestingGuard& operator=(const NestingGuard&) = delete;
+
+   private:
+    int* depth_;
+  };
+
+  Status CheckNesting(const Token& at) const {
+    if (expr_depth_ < kMaxExprNesting) return Status::OK();
+    return ErrorAt(at, "expression nesting exceeds " +
+                           std::to_string(kMaxExprNesting) + " levels");
+  }
+
   Result<ExprPtr> ParseNotExpr() {
+    const Token& at = Peek();
     if (AcceptKeyword("NOT")) {
+      CODS_RETURN_NOT_OK(CheckNesting(at));
+      NestingGuard guard(&expr_depth_);
       CODS_ASSIGN_OR_RETURN(ExprPtr child, ParseNotExpr());
       return Expr::Not(std::move(child));
     }
@@ -483,7 +509,10 @@ class Parser {
   }
 
   Result<ExprPtr> ParsePrimaryExpr() {
+    const Token& at = Peek();
     if (AcceptSymbol("(")) {
+      CODS_RETURN_NOT_OK(CheckNesting(at));
+      NestingGuard guard(&expr_depth_);
       CODS_ASSIGN_OR_RETURN(ExprPtr inner, ParseExpr());
       CODS_RETURN_NOT_OK(ExpectSymbol(")"));
       return inner;
@@ -683,6 +712,7 @@ class Parser {
   const std::string& text_;
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int expr_depth_ = 0;  // NOT / parenthesis levels open in ParseExpr
 };
 
 }  // namespace

@@ -45,14 +45,20 @@ Result<std::shared_ptr<const Column>> Table::ColumnByName(
 }
 
 Result<size_t> Table::ResolveColumnRef(const std::string& ref) const {
-  Result<size_t> direct = schema_.ResolveColumnRef(ref);
+  return ResolveColumnRef(schema_, name_, ref);
+}
+
+Result<size_t> Table::ResolveColumnRef(const Schema& schema,
+                                       const std::string& table_name,
+                                       const std::string& ref) {
+  Result<size_t> direct = schema.ResolveColumnRef(ref);
   if (direct.ok()) return direct;
   // `<this table>.<col>` strips the qualifier and retries, so the same
   // reference shape works on a plain table and on a join result.
-  const std::string prefix = name_ + ".";
+  const std::string prefix = table_name + ".";
   if (ref.size() > prefix.size() && ref.compare(0, prefix.size(), prefix) == 0) {
     Result<size_t> stripped =
-        schema_.ResolveColumnRef(ref.substr(prefix.size()));
+        schema.ResolveColumnRef(ref.substr(prefix.size()));
     if (stripped.ok()) return stripped;
   }
   return direct;

@@ -44,6 +44,12 @@ class Table {
   /// columns — so `SELECT R.Employee FROM R` binds on a plain table and
   /// qualified references bind on cross-table result schemas alike.
   Result<size_t> ResolveColumnRef(const std::string& ref) const;
+  /// The same resolution for a table named `table_name` with `schema`,
+  /// without the table — binds references against a join result the
+  /// plan never builds.
+  static Result<size_t> ResolveColumnRef(const Schema& schema,
+                                         const std::string& table_name,
+                                         const std::string& ref);
   Result<std::shared_ptr<const Column>> ColumnByRef(
       const std::string& ref) const;
 

@@ -69,6 +69,26 @@ class GateTest(unittest.TestCase):
     # (>= --min-anchor-series).
     BASE = {"BM_a": 100.0, "BM_b": 200.0, "BM_c": 400.0, "BM_d": 800.0}
 
+    def test_bench_file_without_baseline_fails(self):
+        # BENCH_x.json has a baseline, BENCH_y.json does not: the gate
+        # fails and names the file instead of skipping it.
+        with tempfile.TemporaryDirectory() as tmp:
+            base_dir = os.path.join(tmp, "baselines")
+            cur_dir = os.path.join(tmp, "current")
+            os.makedirs(base_dir)
+            os.makedirs(cur_dir)
+            for d, names in ((base_dir, ["x"]), (cur_dir, ["x", "y"])):
+                for n in names:
+                    with open(os.path.join(d, f"BENCH_{n}.json"), "w") as f:
+                        json.dump(bench_doc(self.BASE), f)
+            proc = subprocess.run(
+                [sys.executable, SCRIPT, "--baseline-dir", base_dir,
+                 "--current-dir", cur_dir],
+                capture_output=True, text=True,
+            )
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        self.assertIn("no baseline for BENCH_y.json", proc.stderr)
+
     def test_identical_runs_pass(self):
         proc = self.run_gate(bench_doc(self.BASE), bench_doc(self.BASE))
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)

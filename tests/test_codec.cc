@@ -196,6 +196,48 @@ TEST(CodecKernels, FilterMatchesCompressedOracle) {
   }
 }
 
+TEST(CodecKernels, ProbePositionsMatchesFilter) {
+  // The selection-driven projection equals the value-driven filter over
+  // the same positions, for every density class of the value and for
+  // selections from a handful of positions (galloping into large
+  // values) to more than the value holds (galloping the other way).
+  for (uint64_t selected : {1u, 7u, 30u, 250u, 1500u}) {
+    const std::vector<uint32_t> positions =
+        SamplePositions(kSweepSize, selected, 300 + selected);
+    const std::vector<uint64_t> wide(positions.begin(), positions.end());
+    WahPositionFilter filter(wide, kSweepSize);
+    for (const DensityClass& c : kClasses) {
+      ValueBitmap vb = MakeRandom(kSweepSize, c.ones, 91 + c.ones);
+      ValueBitmap probed = ValueBitmap::FromPositions(
+          CodecProbePositions(vb, positions), selected);
+      EXPECT_EQ(probed, CodecFilter(filter, vb))
+          << "selected " << selected << " " << vb.ToString();
+    }
+  }
+}
+
+TEST(CodecKernels, DenseSelectionMatchesWahInterchangeKernels) {
+  for (const DensityClass& s : kClasses) {
+    const WahBitmap selection =
+        MakeRandom(kSweepSize, s.ones, 500 + s.ones).ToWah();
+    DenseSelection dense(selection);
+    for (const DensityClass& c : kClasses) {
+      ValueBitmap vb = MakeRandom(kSweepSize, c.ones, 700 + c.ones);
+      EXPECT_EQ(dense.AndCount(vb), CodecAndCountWah(vb, selection))
+          << s.ones << " x " << c.ones;
+      std::vector<uint64_t> positions;
+      dense.AndPositions(vb, &positions);
+      EXPECT_EQ(positions, CodecAndWah(vb, selection).SetPositions())
+          << s.ones << " x " << c.ones;
+    }
+  }
+  // The size rule: densify once the WAH walks would cost more words
+  // than the dense copy (64 words for 4096 rows).
+  const WahBitmap sparse = MakeRandom(kSweepSize, 30, 9).ToWah();
+  EXPECT_FALSE(DenseSelection::Pays(sparse, 1));
+  EXPECT_TRUE(DenseSelection::Pays(sparse, 1000));
+}
+
 TEST(CodecKernels, AppendToWahMatchesConcat) {
   WahBitmap acc = WahBitmap::FromPositions({1, 63, 200}, 300);
   for (const DensityClass& c : kClasses) {

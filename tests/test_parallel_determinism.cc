@@ -17,6 +17,7 @@
 #include "query/column_select.h"
 #include "query/join.h"
 #include "query/query_engine.h"
+#include "storage/catalog.h"
 #include "workload/generator.h"
 
 namespace cods {
@@ -281,6 +282,63 @@ TEST(ParallelDeterminismTest, InConstrainedProjection) {
   }
 }
 
+TEST(ParallelDeterminismTest, SparseSelectionDrivenProjection) {
+  // A selection sparse enough to be an array drives the projection
+  // (probe each value at the selected positions, no position filter);
+  // the compact result — and the ORDER BY ... LIMIT built from the
+  // same probes on its picked rows — must be code-word identical at
+  // every thread count.
+  auto r = TestTable();
+  ExprPtr sparse = Expr::And(
+      {Expr::Between(kKeyColumn, Value(static_cast<int64_t>(40)),
+                     Value(static_cast<int64_t>(44))),
+       Expr::Compare(kPayloadColumn, CompareOp::kGe,
+                     Value(static_cast<int64_t>(30)))});
+  ExprPtr dense = Expr::Compare(kPayloadColumn, CompareOp::kLt,
+                                Value(static_cast<int64_t>(60)));
+  const std::vector<std::string> columns{kDependentColumn, kPayloadColumn,
+                                         kKeyColumn};
+  Catalog catalog;
+  CODS_CHECK_OK(catalog.AddTable(r));
+  QueryEngine engine(&catalog);
+  auto top = [&](const ExprPtr& where, const std::string& order, bool desc,
+                 int64_t limit) {
+    QueryRequest req = QueryRequest::Select(r->name(), columns, where, "top");
+    req.OrderBy(order, desc).Limit(limit);
+    return req;
+  };
+  const std::vector<QueryRequest> ordered = {
+      top(sparse, kPayloadColumn, true, 20),
+      top(dense, kKeyColumn, false, 100),
+      top(dense, kDependentColumn, true, 400),
+      top(nullptr, kPayloadColumn, false, 50)};
+  ExecContext serial(1);
+  auto ref = QueryEngine::SelectRows(*r, columns, sparse, "sel", &serial);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  ASSERT_GT((*ref)->rows(), 0u);
+  ASSERT_LE((*ref)->rows() * 64, r->rows());  // an array selection
+  std::vector<std::shared_ptr<const Table>> ref_ordered;
+  for (const QueryRequest& req : ordered) {
+    auto out = engine.Execute(req, &serial);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    ref_ordered.push_back(out->table);
+  }
+  for (int threads : kThreadCounts) {
+    ExecContext ctx(threads);
+    auto sel = QueryEngine::SelectRows(*r, columns, sparse, "sel", &ctx);
+    ASSERT_TRUE(sel.ok()) << sel.status().ToString();
+    ExpectTablesIdentical(**ref, **sel,
+                          "sparse select @" + std::to_string(threads));
+    for (size_t q = 0; q < ordered.size(); ++q) {
+      auto out = engine.Execute(ordered[q], &ctx);
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      ExpectTablesIdentical(*ref_ordered[q], *out->table,
+                            ordered[q].ToString() + " @" +
+                                std::to_string(threads));
+    }
+  }
+}
+
 TEST(ParallelDeterminismTest, CompressedJoinPaths) {
   // Both join shapes must be code-word identical at every thread
   // count: the key-FK shape (position filters + gathered payload) and
@@ -316,6 +374,46 @@ TEST(ParallelDeterminismTest, CompressedJoinPaths) {
     ASSERT_TRUE(gen.ok()) << gen.status().ToString();
     ExpectTablesIdentical(**ref_gen, **gen,
                           "join general @" + std::to_string(threads));
+  }
+}
+
+TEST(ParallelDeterminismTest, JoinCountWithPushedDownWhere) {
+  // COUNT over a join with one-sided WHERE conjuncts runs count-only:
+  // per-side selections, densified probes, per-value product slots.
+  WorkloadSpec spec;
+  spec.num_rows = 30'000;
+  spec.num_distinct = 500;
+  auto pair = GenerateMergePair(spec);
+  ASSERT_TRUE(pair.ok());
+  Catalog catalog;
+  CODS_CHECK_OK(catalog.AddTable(pair->s));
+  CODS_CHECK_OK(catalog.AddTable(pair->t));
+  QueryEngine engine(&catalog);
+  const std::string s = pair->s->name(), t = pair->t->name();
+  const Schema& ts = pair->t->schema();
+  const std::string right_payload = t + "." + ts.column(1).name;
+  const std::string left_payload = s + "." + pair->s->schema().column(1).name;
+  QueryRequest req = QueryRequest::Count(
+      s, Expr::And({Expr::Compare(right_payload, CompareOp::kLt,
+                                  Value(static_cast<int64_t>(40))),
+                    Expr::Compare(left_payload, CompareOp::kGe,
+                                  Value(static_cast<int64_t>(10)))}));
+  const std::string key = pair->s->schema().column(0).name;
+  req.JoinOn(t, s + "." + key, t + "." + ts.column(0).name);
+  ExecContext serial(1);
+  auto ref = engine.Execute(req, &serial);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  EXPECT_EQ(ref->join_path, "count-only");
+  QueryRequest select = req;
+  select.verb = QueryRequest::Verb::kSelect;
+  auto materialized = engine.Execute(select, &serial);
+  ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
+  EXPECT_EQ(ref->count, materialized->table->rows());
+  for (int threads : kThreadCounts) {
+    ExecContext ctx(threads);
+    auto out = engine.Execute(req, &ctx);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out->count, ref->count) << "join count @" << threads;
   }
 }
 

@@ -587,6 +587,48 @@ TEST(Parser, SelectErrorPaths) {
   }
 }
 
+TEST(Parser, ExpressionNestingIsCappedWithAPositionedError) {
+  // NOT and parenthesis nesting recurse in the parser; past the cap a
+  // statement is a typed InvalidArgument naming where the cap was hit,
+  // not a stack overflow on the parsing thread.
+  auto repeat = [](const std::string& piece, int n) {
+    std::string out;
+    for (int i = 0; i < n; ++i) out += piece;
+    return out;
+  };
+  const std::string prefix = "SELECT COUNT(*) FROM R WHERE ";
+  auto nots = ParseStatement(prefix + repeat("NOT ", 100'000) + "x = 1;");
+  ASSERT_FALSE(nots.ok());
+  EXPECT_TRUE(nots.status().IsInvalidArgument()) << nots.status().ToString();
+  EXPECT_NE(nots.status().message().find("nesting exceeds 256 levels"),
+            std::string::npos)
+      << nots.status().ToString();
+  // The 257th NOT starts at byte 29 + 256 * 4: column 1054 of line 1.
+  EXPECT_NE(nots.status().message().find("line 1, column 1054"),
+            std::string::npos)
+      << nots.status().ToString();
+  auto parens = ParseStatement(prefix + repeat("(", 100'000) + "x = 1" +
+                               repeat(")", 100'000) + ";");
+  ASSERT_FALSE(parens.ok());
+  EXPECT_TRUE(parens.status().IsInvalidArgument());
+  EXPECT_NE(parens.status().message().find("nesting exceeds 256 levels"),
+            std::string::npos)
+      << parens.status().ToString();
+  // Interleaved forms count against one budget.
+  auto mixed = ParseStatement(prefix + repeat("NOT (", 200) + "x = 1" +
+                              repeat(")", 200) + ";");
+  ASSERT_FALSE(mixed.ok());
+  EXPECT_TRUE(mixed.status().IsInvalidArgument());
+  // At the cap itself the statement parses and normalizes.
+  auto at_cap = ParseStatement(prefix + repeat("NOT ", 256) + "x = 1;");
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(NormalizeExpr(at_cap.ValueOrDie().query.where)->ToString(),
+            "x = 1");
+  auto nested = ParseStatement(prefix + repeat("(", 256) + "x = 1" +
+                               repeat(")", 256) + ";");
+  ASSERT_TRUE(nested.ok()) << nested.status().ToString();
+}
+
 TEST(Parser, SelectRoundTripThroughToString) {
   // Statement::ToString of parsed SELECTs re-parses to the same
   // statement, like SMOs (same fixed point: ToString ∘ parse is

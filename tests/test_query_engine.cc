@@ -6,6 +6,7 @@
 #include "query/query_engine.h"
 
 #include <functional>
+#include <limits>
 #include <set>
 
 #include "common/random.h"
@@ -723,6 +724,384 @@ TEST(QueryEngine, OrderByNaNSortsLastAndMixedNumericsInterleave) {
     tags.push_back(row[1].int64());
   }
   EXPECT_EQ(tags, (std::vector<int64_t>{1, 3, 0, 4, 2}));
+}
+
+// ---- Late materialization: seeded sweeps against naive row oracles -------
+
+// Row-level WHERE evaluation over a decoded row (the oracle side).
+bool RowMatches(const Expr& e, const Schema& schema, const Row& row) {
+  switch (e.kind) {
+    case ExprKind::kCompare:
+    case ExprKind::kIn:
+    case ExprKind::kBetween:
+      return e.LeafMatches(
+          row[schema.ResolveColumnRef(e.column).ValueOrDie()]);
+    case ExprKind::kNot:
+      return !RowMatches(*e.children[0], schema, row);
+    case ExprKind::kAnd:
+      for (const ExprPtr& c : e.children) {
+        if (!RowMatches(*c, schema, row)) return false;
+      }
+      return true;
+    case ExprKind::kOr:
+      for (const ExprPtr& c : e.children) {
+        if (RowMatches(*c, schema, row)) return true;
+      }
+      return false;
+  }
+  return false;
+}
+
+// SELECT cols FROM t WHERE w ORDER BY c [DESC] LIMIT n, naively:
+// decode, filter (OracleFilter), stable-sort on the total Value order
+// (OracleSort), cut and project (OracleCut). Rows render as strings so
+// NaNs compare equal.
+std::vector<Row> OracleFilter(const Table& t, const std::vector<Row>& decoded,
+                              const ExprPtr& where) {
+  std::vector<Row> rows;
+  for (const Row& row : decoded) {
+    if (where == nullptr || RowMatches(*where, t.schema(), row)) {
+      rows.push_back(row);
+    }
+  }
+  return rows;
+}
+
+// The oracle's ORDER BY: a stable sort on the total Value order.
+std::vector<Row> OracleSort(const Table& t, std::vector<Row> rows,
+                            const std::string& order_by, bool desc) {
+  if (!order_by.empty()) {
+    const size_t k = t.schema().ResolveColumnRef(order_by).ValueOrDie();
+    std::stable_sort(rows.begin(), rows.end(),
+                     [&](const Row& a, const Row& b) {
+                       return desc ? b[k] < a[k] : a[k] < b[k];
+                     });
+  }
+  return rows;
+}
+
+// The oracle's LIMIT + projection over sorted rows.
+std::vector<std::string> OracleCut(const Table& t, const std::vector<Row>& rows,
+                                   const std::vector<std::string>& cols,
+                                   int64_t limit) {
+  size_t n = rows.size();
+  if (limit >= 0 && n > static_cast<size_t>(limit)) {
+    n = static_cast<size_t>(limit);
+  }
+  std::vector<size_t> idx;
+  for (const std::string& c : cols) {
+    idx.push_back(t.schema().ResolveColumnRef(c).ValueOrDie());
+  }
+  if (cols.empty()) {
+    for (size_t i = 0; i < t.num_columns(); ++i) idx.push_back(i);
+  }
+  std::vector<std::string> out;
+  for (size_t r = 0; r < n; ++r) {
+    Row projected;
+    for (size_t i : idx) projected.push_back(rows[r][i]);
+    out.push_back(testing::RowToString(projected));
+  }
+  return out;
+}
+
+std::vector<std::string> RenderRows(const Table& t) {
+  std::vector<std::string> out;
+  for (const Row& row : t.Materialize()) {
+    out.push_back(testing::RowToString(row));
+  }
+  return out;
+}
+
+// x: doubles with NaN ties (each NaN its own dictionary entry, in the
+// reverse of row order, so tie order cannot come from dictionary
+// order); y: a skewed int64 column spanning bitset, WAH and array
+// containers; s: 20 strings.
+std::shared_ptr<const Table> SortSweepTable(uint64_t rows, uint64_t seed) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double xs[] = {-2.5, -1.0, 0.0, 0.5, 1.0, 2.0, 7.25};
+  Rng rng(seed);
+  std::vector<Row> data;
+  for (uint64_t r = 0; r < rows; ++r) {
+    const double u = rng.NextDouble();
+    const int64_t y = u < 0.4    ? 0
+                      : u < 0.55 ? rng.Uniform(1, 3)
+                                 : rng.Uniform(4, 200);
+    data.push_back({Value(rng.NextBool(0.1) ? nan : xs[rng.Uniform(0, 6)]),
+                    Value(y),
+                    Value("s" + std::to_string(rng.Uniform(0, 19)))});
+  }
+  Schema schema({{"x", DataType::kDouble, false},
+                 {"y", DataType::kInt64, false},
+                 {"s", DataType::kString, false}},
+                {});
+  auto built = MakeTable("T", schema, data);
+  const Column& x = *built->column(0);
+  const Vid last = static_cast<Vid>(x.distinct_count() - 1);
+  Dictionary reversed;
+  for (Vid v = 0; v <= last; ++v) {
+    reversed.GetOrInsert(x.dict().value(last - v));
+  }
+  std::vector<Vid> vids = x.DecodeVids();
+  for (Vid& v : vids) v = last - v;
+  std::vector<std::shared_ptr<const Column>> cols = {
+      Column::FromVids(DataType::kDouble, std::move(reversed), vids),
+      built->column(1), built->column(2)};
+  return Table::Make("T", schema, std::move(cols), rows).ValueOrDie();
+}
+
+TEST(QueryEngine, OrderByLimitMatchesRowOracleSweep) {
+  auto table = SortSweepTable(2'000, 1313);
+  Catalog catalog;
+  CODS_CHECK_OK(catalog.AddTable(table));
+  QueryEngine engine(&catalog);
+  const std::vector<Row> decoded = table->Materialize();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto i64 = [](int64_t v) { return Value(v); };
+  const std::vector<ExprPtr> wheres = {
+      nullptr,
+      Expr::Between("x", Value(-1.0), Value(1.0)),
+      Expr::In("x", {Value(0.5), Value(2.0), Value(nan)}),
+      Expr::Not(Expr::In("x", {Value(0.5), Value(2.0)})),
+      Expr::Compare("x", CompareOp::kGe, Value(1.0)),
+      Expr::Compare("y", CompareOp::kLt, i64(3)),
+      Expr::Compare("y", CompareOp::kGe, i64(150)),
+      Expr::Not(Expr::Between("y", i64(1), i64(190))),
+      Expr::And({Expr::Between("y", i64(1), i64(100)),
+                 Expr::In("s", {Value("s1"), Value("s3"), Value("s5")})}),
+      Expr::Or({Expr::Compare("x", CompareOp::kGt, Value(1.0)),
+                Expr::Compare("s", CompareOp::kEq, Value("s7"))}),
+      Expr::And({Expr::Not(Expr::Between("x", Value(0.0), Value(1.0))),
+                 Expr::Compare("y", CompareOp::kNe, i64(0))}),
+      Expr::Compare("y", CompareOp::kEq, i64(999)),  // empty selection
+  };
+  const std::vector<std::string> orders = {"x", "y", "s", ""};
+  // 2000 rows: up to 31 picked rows project through the sparse path.
+  const std::vector<int64_t> limits = {-1, 0, 1, 7, 31, 100, 1'999, 5'000};
+  const std::vector<std::vector<std::string>> projections = {
+      {}, {"s"}, {"y", "x"}};
+  int checked = 0;
+  for (const ExprPtr& where : wheres) {
+    const std::vector<Row> filtered = OracleFilter(*table, decoded, where);
+    for (const std::string& order : orders) {
+      for (bool desc : {false, true}) {
+        if (order.empty() && desc) continue;
+        const std::vector<Row> sorted =
+            OracleSort(*table, filtered, order, desc);
+        for (int64_t limit : limits) {
+          for (const auto& cols : projections) {
+            QueryRequest req = QueryRequest::Select("T", cols, where);
+            if (!order.empty()) req.OrderBy(order, desc);
+            req.Limit(limit);
+            const std::string label = req.ToString();
+            auto got = engine.Execute(req);
+            ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+            const Table& out = *got->table;
+            ASSERT_TRUE(out.ValidateInvariants().ok()) << label;
+            EXPECT_EQ(RenderRows(out), OracleCut(*table, sorted, cols, limit))
+                << label;
+            // Result dictionaries hold exactly the values present.
+            for (size_t c = 0; c < out.num_columns(); ++c) {
+              for (Vid v = 0; v < out.column(c)->distinct_count(); ++v) {
+                EXPECT_FALSE(out.column(c)->bitmap(v).IsAllZeros())
+                    << label << " column " << c << " vid " << v;
+              }
+            }
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 1'000);
+  // The public SortRows is the whole-table, all-columns case.
+  for (bool desc : {false, true}) {
+    auto sorted = QueryEngine::SortRows(*table, "x", desc, -1, "sorted");
+    ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
+    EXPECT_EQ((*sorted)->schema().ToString(), table->schema().ToString());
+    EXPECT_EQ(RenderRows(**sorted),
+              OracleCut(*table, OracleSort(*table, decoded, "x", desc), {},
+                        -1));
+  }
+}
+
+TEST(QueryEngine, OrderByOverRleColumnsStillSorts) {
+  // The walk reads value bitmaps; an RLE-encoded table is re-encoded on
+  // the fly rather than rejected (no WHERE, so nothing else needs WAH).
+  auto table = SortSweepTable(500, 77);
+  std::vector<std::shared_ptr<const Column>> cols;
+  for (size_t i = 0; i < table->num_columns(); ++i) {
+    cols.push_back(table->column(i)->WithEncoding(ColumnEncoding::kRle));
+  }
+  auto rle = Table::Make("T", table->schema(), std::move(cols), table->rows())
+                 .ValueOrDie();
+  const std::vector<Row> decoded = table->Materialize();
+  for (int64_t limit : {int64_t{5}, int64_t{-1}}) {
+    auto sorted = QueryEngine::SortRows(*rle, "y", true, limit, "sorted");
+    ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
+    EXPECT_EQ(RenderRows(**sorted),
+              OracleCut(*table, OracleSort(*table, decoded, "y", true), {},
+                        limit));
+  }
+}
+
+// F(K, V, P) JOIN D(K, G, V, H) ON F.K = D.K: key–FK shape, some fact
+// keys unmatched; D2(K, W) duplicates its keys for the general shape.
+Catalog MakeJoinCountCatalog() {
+  Rng rng(4242);
+  std::vector<Row> fact;
+  for (int r = 0; r < 3'000; ++r) {
+    const int64_t k =
+        rng.NextBool(0.5) ? rng.Uniform(0, 9) : rng.Uniform(0, 119);
+    fact.push_back({Value(k), Value(rng.Uniform(0, 9)),
+                    Value("p" + std::to_string(k % 7))});
+  }
+  std::vector<Row> dim, dim2;
+  for (int64_t k = 0; k < 100; ++k) {
+    dim.push_back({Value(k), Value(k * 7 % 10), Value(k % 3),
+                   Value("h" + std::to_string(k % 4))});
+  }
+  for (int64_t k = 0; k < 60; ++k) {
+    dim2.push_back({Value(k), Value(k % 5)});
+    dim2.push_back({Value(k), Value(k % 5 + 10)});
+  }
+  Catalog catalog;
+  CODS_CHECK_OK(catalog.AddTable(MakeTable(
+      "F",
+      Schema({{"K", DataType::kInt64, false},
+              {"V", DataType::kInt64, false},
+              {"P", DataType::kString, false}},
+             {}),
+      fact)));
+  CODS_CHECK_OK(catalog.AddTable(MakeTable(
+      "D",
+      Schema({{"K", DataType::kInt64, false},
+              {"G", DataType::kInt64, false},
+              {"V", DataType::kInt64, false},
+              {"H", DataType::kString, false}},
+             {"K"}),
+      dim)));
+  CODS_CHECK_OK(catalog.AddTable(MakeTable(
+      "D2",
+      Schema({{"K", DataType::kInt64, false}, {"W", DataType::kInt64, false}},
+             {}),
+      dim2)));
+  return catalog;
+}
+
+TEST(QueryEngine, JoinCountWithWhereStaysCountOnly) {
+  Catalog catalog = MakeJoinCountCatalog();
+  QueryEngine engine(&catalog);
+  auto i64 = [](int64_t v) { return Value(v); };
+  struct Case {
+    std::string dim;
+    ExprPtr where;
+    bool pushed;  // every root conjunct touches one side
+  };
+  const std::vector<Case> cases = {
+      // Left only.
+      {"D", Expr::Compare("F.V", CompareOp::kEq, i64(2)), true},
+      {"D",
+       Expr::And({Expr::Compare("F.V", CompareOp::kLt, i64(5)),
+                  Expr::In("P", {Value("p1"), Value("p3")})}),
+       true},
+      {"D", Expr::Not(Expr::Between("F.K", i64(10), i64(30))), true},
+      // The elided right join column aliases onto the kept left one.
+      {"D", Expr::Compare("D.K", CompareOp::kLt, i64(20)), true},
+      // Right only.
+      {"D", Expr::Compare("D.G", CompareOp::kLt, i64(4)), true},
+      {"D",
+       Expr::And({Expr::Compare("G", CompareOp::kEq, i64(3)),
+                  Expr::Compare("H", CompareOp::kEq, Value("h1"))}),
+       true},
+      // Both sides, each conjunct one-sided.
+      {"D",
+       Expr::And({Expr::Compare("D.G", CompareOp::kLt, i64(4)),
+                  Expr::Compare("F.V", CompareOp::kEq, i64(2))}),
+       true},
+      {"D",
+       Expr::And({Expr::Compare("K", CompareOp::kLt, i64(50)),
+                  Expr::Not(Expr::In("D.V", {i64(1)})),
+                  Expr::Compare("G", CompareOp::kGe, i64(2))}),
+       true},
+      {"D", Expr::Compare("D.G", CompareOp::kEq, i64(99)), true},  // empty
+      // Mixed residuals fall back to the materializing plan.
+      {"D",
+       Expr::Or({Expr::Compare("F.V", CompareOp::kEq, i64(2)),
+                 Expr::Compare("D.G", CompareOp::kLt, i64(4))}),
+       false},
+      {"D",
+       Expr::And({Expr::Or({Expr::Compare("F.V", CompareOp::kEq, i64(1)),
+                            Expr::Compare("D.G", CompareOp::kEq, i64(3))}),
+                  Expr::Compare("P", CompareOp::kEq, Value("p2"))}),
+       false},
+      // General shape (both sides duplicated).
+      {"D2", Expr::Compare("W", CompareOp::kGe, i64(10)), true},
+      {"D2",
+       Expr::And({Expr::Compare("W", CompareOp::kLt, i64(3)),
+                  Expr::Compare("F.V", CompareOp::kNe, i64(0))}),
+       true},
+      {"D2",
+       Expr::Or({Expr::Compare("W", CompareOp::kLt, i64(3)),
+                 Expr::Compare("F.V", CompareOp::kNe, i64(0))}),
+       false},
+  };
+  for (const Case& c : cases) {
+    QueryRequest count = QueryRequest::Count("F", c.where);
+    count.JoinOn(c.dim, "F.K", c.dim + ".K");
+    QueryRequest select = QueryRequest::Select("F", {}, c.where);
+    select.JoinOn(c.dim, "F.K", c.dim + ".K");
+    const std::string label = count.ToString();
+    auto counted = engine.Execute(count);
+    ASSERT_TRUE(counted.ok()) << label << ": " << counted.status().ToString();
+    auto materialized = engine.Execute(select);
+    ASSERT_TRUE(materialized.ok()) << label;
+    EXPECT_EQ(counted->count, materialized->table->rows()) << label;
+    if (c.pushed) {
+      EXPECT_EQ(counted->join_path, "count-only") << label;
+    } else {
+      EXPECT_NE(counted->join_path, "count-only") << label;
+      EXPECT_FALSE(counted->join_path.empty()) << label;
+    }
+  }
+  // An ambiguous bare reference (F.V and D.V) errors exactly as the
+  // materializing plan does.
+  QueryRequest ambiguous =
+      QueryRequest::Count("F", Expr::Compare("V", CompareOp::kEq, i64(2)));
+  ambiguous.JoinOn("D", "F.K", "D.K");
+  QueryRequest ambiguous_select =
+      QueryRequest::Select("F", {}, Expr::Compare("V", CompareOp::kEq, i64(2)));
+  ambiguous_select.JoinOn("D", "F.K", "D.K");
+  auto a = engine.Execute(ambiguous);
+  auto b = engine.Execute(ambiguous_select);
+  ASSERT_FALSE(a.ok());
+  ASSERT_FALSE(b.ok());
+  EXPECT_EQ(a.status().ToString(), b.status().ToString());
+  EXPECT_NE(a.status().message().find("ambiguous column 'V'"),
+            std::string::npos)
+      << a.status().ToString();
+  // Unknown columns, too.
+  QueryRequest unknown =
+      QueryRequest::Count("F", Expr::Compare("D.Q", CompareOp::kEq, i64(2)));
+  unknown.JoinOn("D", "F.K", "D.K");
+  auto u = engine.Execute(unknown);
+  ASSERT_FALSE(u.ok());
+  EXPECT_TRUE(u.status().IsKeyError()) << u.status().ToString();
+  // The count-only entry point takes the side selections directly.
+  auto f = catalog.GetTable("F").ValueOrDie();
+  auto d = catalog.GetTable("D").ValueOrDie();
+  WahBitmap v2 =
+      EvalExpr(*f, Expr::Compare("V", CompareOp::kEq, i64(2))).ValueOrDie();
+  WahBitmap g4 =
+      EvalExpr(*d, Expr::Compare("G", CompareOp::kLt, i64(4))).ValueOrDie();
+  JoinStats stats;
+  auto direct = CompressedEquiJoinCount(*f, *d, 0, 0, &stats, &v2, &g4);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_EQ(stats.path, "count-only");
+  QueryRequest same = QueryRequest::Count(
+      "F", Expr::And({Expr::Compare("F.V", CompareOp::kEq, i64(2)),
+                      Expr::Compare("D.G", CompareOp::kLt, i64(4))}));
+  same.JoinOn("D", "F.K", "D.K");
+  EXPECT_EQ(*direct, engine.Execute(same).ValueOrDie().count);
 }
 
 TEST(QueryEngine, RequestToStringRoundTripsShape) {

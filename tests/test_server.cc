@@ -28,6 +28,7 @@
 #include "common/env.h"
 #include "durability/db.h"
 #include "concurrency/versioned_catalog.h"
+#include "exec/thread_pool.h"
 #include "gtest/gtest.h"
 #include "query/expr.h"
 #include "server/admission.h"
@@ -597,25 +598,69 @@ TEST(Server, StatementErrorsAreTypedNotFatal) {
 }
 
 // Compatible pipelined statements against the same root share one
-// compressed eval; the counters prove it.
+// compressed eval; the counters prove it. The admission workers run on
+// the shared pool, so holding every pool thread until all 32 statements
+// are admitted makes the point worker find them queued together (two
+// max_batch batches of 16) — no dependence on timing.
 TEST(Server, PipelinedStatementsShareEvals) {
-  TestServer ts;
+  server::ServerOptions options;
+  TestServer ts(options);
   auto client = ts.Connect();
+  constexpr uint64_t kStatements = 32;
 
-  uint64_t hits = 0;
-  for (int attempt = 0; attempt < 5 && hits == 0; ++attempt) {
-    std::vector<std::string> texts(
-        32, "SELECT COUNT(*) FROM R WHERE Employee = 'Jones';");
-    auto responses = client->ExecuteBatch(texts);
-    ASSERT_TRUE(responses.ok()) << responses.status().ToString();
-    for (const WireResponse& resp : responses.ValueOrDie()) {
-      ASSERT_EQ(resp.type, FrameType::kResultCount)
-          << server::FormatWireResponse(resp);
-      EXPECT_EQ(resp.count, 3u);
-    }
-    hits = ts.srv->GetStats().batch.batch_hits;
+  ThreadPool* pool =
+      SharedPool(std::max(1, options.point_workers + options.heavy_workers));
+  const int held = pool->num_threads();
+  std::mutex mu;
+  std::condition_variable cv;
+  int holding = 0;
+  bool release = false;
+  for (int i = 0; i < held; ++i) {
+    pool->Submit([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      ++holding;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+      --holding;
+      cv.notify_all();
+    });
   }
-  EXPECT_GT(hits, 0u) << "pipelined identical statements never shared";
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return holding == held; });
+  }
+  std::thread releaser([&] {
+    // The deadline only bounds a failing run (a statement never
+    // admitted); a passing run releases as soon as all 32 are queued.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (ts.srv->GetStats().admission.point.submitted < kStatements &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+    cv.notify_all();
+  });
+  std::vector<std::string> texts(
+      kStatements, "SELECT COUNT(*) FROM R WHERE Employee = 'Jones';");
+  auto responses = client->ExecuteBatch(texts);
+  releaser.join();
+  {
+    // The holders touch this frame's mutex until they leave.
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return holding == 0; });
+  }
+  ASSERT_TRUE(responses.ok()) << responses.status().ToString();
+  for (const WireResponse& resp : responses.ValueOrDie()) {
+    ASSERT_EQ(resp.type, FrameType::kResultCount)
+        << server::FormatWireResponse(resp);
+    EXPECT_EQ(resp.count, 3u);
+  }
+  const server::ServerStats stats = ts.srv->GetStats();
+  EXPECT_EQ(stats.admission.point.batches, kStatements / options.max_batch);
+  EXPECT_GT(stats.batch.batch_hits, 0u)
+      << "pipelined identical statements never shared";
 }
 
 TEST(Server, PreparedStatements) {
@@ -762,6 +807,40 @@ TEST(Server, HostileBytesCloseConnectionCleanly) {
   auto fresh = ts.Connect();
   EXPECT_TRUE(fresh->Ping().ok());
   EXPECT_GE(ts.srv->GetStats().protocol_errors, 2u);
+}
+
+// A statement nesting 100 000 NOTs (400 KB, well under the frame limit)
+// is parsed on the event-loop thread; it must come back as a typed
+// error, not overflow the stack, and other sessions keep being served.
+TEST(Server, DeeplyNestedWhereIsATypedErrorNotACrash) {
+  TestServer ts;
+  auto bystander = ts.Connect();
+  auto hostile = ts.Connect();
+  std::string nots;
+  for (int i = 0; i < 100'000; ++i) nots += "NOT ";
+  std::string parens(100'000, '(');
+  const std::string attacks[] = {
+      "SELECT COUNT(*) FROM R WHERE " + nots + "Employee = 'Jones';",
+      "SELECT COUNT(*) FROM R WHERE " + parens + "Employee = 'Jones';"};
+  for (const std::string& attack : attacks) {
+    auto resp = hostile->Execute(attack);
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    ASSERT_EQ(resp.ValueOrDie().type, FrameType::kError)
+        << server::FormatWireResponse(resp.ValueOrDie());
+    EXPECT_TRUE(resp.ValueOrDie().error.IsInvalidArgument())
+        << resp.ValueOrDie().error.ToString();
+    EXPECT_NE(resp.ValueOrDie().error.message().find("nesting exceeds"),
+              std::string::npos)
+        << resp.ValueOrDie().error.ToString();
+    auto count =
+        bystander->Execute("SELECT COUNT(*) FROM R WHERE Employee = 'Jones';");
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    EXPECT_EQ(count.ValueOrDie().count, 3u);
+  }
+  // The hostile session itself stays usable too.
+  auto again = hostile->Execute("SELECT COUNT(*) FROM R;");
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again.ValueOrDie().count, 7u);
 }
 
 // Satellite (c), fuzz half: seeded garbage blasted at raw sockets (no
