@@ -12,8 +12,12 @@
 //   * BM_Query_WideOrSelect: a flattened 16-leaf OR (the IN-list /
 //     union-of-predicates regime) — exercises k-way fan-in after
 //     normalization.
-//   * BM_Query_GroupBySum: SUM(V) GROUP BY P with a WHERE narrowing,
-//     one task per group over compressed AND-counts.
+//   * BM_Query_GroupBySum: SUM(V) GROUP BY P with a WHERE, one task
+//     per group over the contingency pass's pair counts.
+//   * BM_Query_GroupByMulti: COUNT/SUM/MIN/MAX/AVG GROUP BY on the
+//     analytic shape (a 4-value bitset/WAH group column against a
+//     16-value WAH measure), its reverse, and a 1000-value array group
+//     column where nothing densifies; each with and without a WHERE.
 //   * BM_Query_JoinSelect: the compressed equi-join (key-FK shape) at
 //     swept join selectivities — the fraction of fact rows whose key
 //     survives into the filtered dimension table — times threads.
@@ -35,6 +39,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "common/random.h"
 #include "query/join.h"
 #include "query/query_engine.h"
 #include "storage/catalog.h"
@@ -147,6 +152,65 @@ void BM_Query_GroupBySum(benchmark::State& state) {
     benchmark::DoNotOptimize(out);
   }
   state.counters["rows"] = static_cast<double>(r->rows());
+}
+
+// The analytic GROUP BY shape: P with 4 skewed values (40/30/20/10% of
+// the rows: two bitsets, two WAH), V with 16 uniform values (all WAH),
+// K with 1000 (all arrays), in seeded random row order.
+std::shared_ptr<const Table> CachedContingencyTable() {
+  static std::shared_ptr<const Table>* cache = [] {
+    const uint64_t rows = bench::BenchRows();
+    Rng rng(11);
+    Dictionary p_dict, v_dict, k_dict;
+    for (uint64_t i = 0; i < 4; ++i) p_dict.GetOrInsert(I64(i));
+    for (uint64_t i = 0; i < 16; ++i) v_dict.GetOrInsert(I64(i * 10));
+    for (uint64_t i = 0; i < kDistinct; ++i) k_dict.GetOrInsert(I64(i));
+    std::vector<Vid> p(rows), v(rows), k(rows);
+    for (uint64_t r = 0; r < rows; ++r) {
+      const double u = rng.NextDouble();
+      p[r] = u < 0.4 ? 0 : u < 0.7 ? 1 : u < 0.9 ? 2 : 3;
+      v[r] = static_cast<Vid>(rng.Uniform(0, 15));
+      k[r] = static_cast<Vid>(
+          rng.Uniform(0, static_cast<int64_t>(kDistinct) - 1));
+    }
+    Schema schema({{"P", DataType::kInt64, false},
+                   {"V", DataType::kInt64, false},
+                   {"K", DataType::kInt64, false}},
+                  {});
+    std::vector<std::shared_ptr<const Column>> cols = {
+        Column::FromVids(DataType::kInt64, std::move(p_dict), p),
+        Column::FromVids(DataType::kInt64, std::move(v_dict), v),
+        Column::FromVids(DataType::kInt64, std::move(k_dict), k)};
+    return new std::shared_ptr<const Table>(
+        Table::Make("C", schema, std::move(cols), rows).ValueOrDie());
+  }();
+  return *cache;
+}
+
+// SELECT g, COUNT(*), SUM(m), MIN(m), MAX(m), AVG(m) ... GROUP BY g, one
+// contingency pass. shape 0: g = P, m = V (the analytic shape); shape 1:
+// the reverse; shape 2: g = K, m = V — high cardinality, where no group
+// densifies. `where` adds K < 500 (~50% of the rows).
+void BM_Query_GroupByMulti(benchmark::State& state) {
+  static const char* const kGroup[] = {"P", "V", "K"};
+  static const char* const kMeasure[] = {"V", "P", "V"};
+  const int64_t shape = state.range(0);
+  const std::string m = kMeasure[shape];
+  auto c = CachedContingencyTable();
+  ExprPtr where = state.range(1) != 0
+                      ? Expr::Compare("K", CompareOp::kLt, I64(kDistinct / 2))
+                      : nullptr;
+  const std::vector<AggregateSpec> aggs = {
+      AggregateSpec::Count(), AggregateSpec::Sum(m), AggregateSpec::Min(m),
+      AggregateSpec::Max(m), AggregateSpec::Avg(m)};
+  ExecContext ctx(1);
+  bench::RunMeta meta(state, ctx.num_threads());
+  for (auto _ : state) {
+    auto out = QueryEngine::GroupByRows(*c, kGroup[shape], aggs, where, &ctx);
+    CODS_CHECK(out.ok()) << out.status().ToString();
+    benchmark::DoNotOptimize(out);
+  }
+  state.counters["rows"] = static_cast<double>(c->rows());
 }
 
 // The filtered dimension side of the join sweep: T keyed on K, shrunk
@@ -308,6 +372,14 @@ CODS_QUERY_BENCH(BM_Query_WideOrCount)
     ->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 CODS_QUERY_BENCH(BM_Query_GroupBySum)
     ->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+CODS_QUERY_BENCH(BM_Query_GroupByMulti)
+    ->ArgNames({"shape", "where"})
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->Args({2, 0})
+    ->Args({2, 1});
 // Join selectivity x thread sweep (key-FK shape).
 CODS_QUERY_BENCH(BM_Query_JoinSelect)
     ->ArgNames({"match_pct", "threads"})

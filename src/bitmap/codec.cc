@@ -5,6 +5,7 @@
 #include <numeric>
 #include <sstream>
 
+#include "bitmap/popcount.h"
 #include "bitmap/wah_filter.h"
 #include "bitmap/wah_ops.h"
 
@@ -80,27 +81,10 @@ void ZeroRange(uint64_t* words, uint64_t start, uint64_t end) {
   words[qe] &= ~last;
 }
 
-// Popcount of the dense bits in [start, end).
-uint64_t CountRange(const uint64_t* words, uint64_t start, uint64_t end) {
-  if (start >= end) return 0;
-  size_t qs = start >> 6, qe = (end - 1) >> 6;
-  uint64_t first = ~uint64_t{0} << (start & 63);
-  uint64_t last = LowBits(((end - 1) & 63) + 1);
-  if (qs == qe) {
-    return static_cast<uint64_t>(std::popcount(words[qs] & first & last));
-  }
-  uint64_t ones = static_cast<uint64_t>(std::popcount(words[qs] & first));
-  for (size_t q = qs + 1; q < qe; ++q) {
-    ones += static_cast<uint64_t>(std::popcount(words[q]));
-  }
-  ones += static_cast<uint64_t>(std::popcount(words[qe] & last));
-  return ones;
-}
-
-uint64_t CountWords(const std::vector<uint64_t>& words) {
-  uint64_t ones = 0;
-  for (uint64_t w : words) ones += static_cast<uint64_t>(std::popcount(w));
-  return ones;
+// Set bits of a dense word vector (dispatched: see bitmap/popcount.h).
+uint64_t PopcountWords(const std::vector<uint64_t>& words) {
+  return DispatchPopcount(
+      [&] { return CountWords(words.data(), words.size()); });
 }
 
 // Canonical WAH encode of a dense word span, one 63-bit group per step
@@ -172,7 +156,8 @@ void AndWahIntoDense(const WahBitmap& wah, uint64_t* words, size_t nwords) {
 }
 
 // |wah & dense| on the compressed walk: 1-fills popcount a dense range,
-// literal groups popcount payload & window.
+// literal groups popcount payload & window. Not dispatched itself: it is
+// inlined into the dispatched kernels that call it.
 uint64_t CountWahAndDense(const WahBitmap& wah, const uint64_t* words,
                           size_t nwords) {
   WahDecoder dec(wah);
@@ -187,8 +172,7 @@ uint64_t CountWahAndDense(const WahBitmap& wah, const uint64_t* words,
       offset += span;
       dec.Consume(dec.remaining_groups());
     } else {
-      ones += static_cast<uint64_t>(std::popcount(
-          dec.group_payload() & Extract63(words, nwords, offset)));
+      ones += Popcount(dec.group_payload() & Extract63(words, nwords, offset));
       offset += kWahGroupBits;
       dec.Consume(1);
     }
@@ -441,7 +425,7 @@ ValueBitmap ValueBitmap::FromDenseWords(std::vector<uint64_t> words,
   CODS_DCHECK(words.size() == DenseWordCount(size));
   ValueBitmap vb;
   vb.size_ = size;
-  vb.ones_ = CountWords(words);
+  vb.ones_ = PopcountWords(words);
   vb.rep_ = ChooseBitmapRep(vb.ones_, size);
   switch (vb.rep_) {
     case BitmapRep::kArray: {
@@ -505,7 +489,7 @@ Result<ValueBitmap> ValueBitmap::FromRawParts(BitmapRep rep, uint64_t size,
           (words.back() & ~LowBits(size % 64)) != 0) {
         return Status::Corruption("bitset container has bits beyond size");
       }
-      vb.ones_ = CountWords(words);
+      vb.ones_ = PopcountWords(words);
       vb.words_ = std::move(words);
       break;
     }
@@ -664,7 +648,7 @@ Status ValueBitmap::Validate(uint64_t expected_size) const {
           (words_.back() & ~LowBits(size_ % 64)) != 0) {
         return Status::Corruption("bitset container has bits beyond size");
       }
-      if (ones_ != CountWords(words_)) {
+      if (ones_ != PopcountWords(words_)) {
         return Status::Corruption("bitset container popcount mismatch");
       }
       break;
@@ -691,9 +675,9 @@ uint64_t CodecAndCount(const ValueBitmap& a, const ValueBitmap& b) {
   if (static_cast<uint8_t>(x->rep()) > static_cast<uint8_t>(y->rep())) {
     std::swap(x, y);
   }
-  uint64_t count = 0;
   switch (x->rep()) {
-    case BitmapRep::kArray:
+    case BitmapRep::kArray: {
+      uint64_t count = 0;
       switch (y->rep()) {
         case BitmapRep::kArray:
           IntersectArrays(x->array_positions(), y->array_positions(),
@@ -712,18 +696,19 @@ uint64_t CodecAndCount(const ValueBitmap& a, const ValueBitmap& b) {
         }
       }
       return 0;
+    }
     case BitmapRep::kWah:
       if (y->rep() == BitmapRep::kWah) return WahAndCount(x->wah(), y->wah());
-      return CountWahAndDense(x->wah(), y->bitset_words().data(),
-                              y->bitset_words().size());
-    case BitmapRep::kBitset: {
-      const std::vector<uint64_t>& wa = x->bitset_words();
-      const std::vector<uint64_t>& wb = y->bitset_words();
-      for (size_t i = 0; i < wa.size(); ++i) {
-        count += static_cast<uint64_t>(std::popcount(wa[i] & wb[i]));
-      }
-      return count;
-    }
+      return DispatchPopcount([&] {
+        return CountWahAndDense(x->wah(), y->bitset_words().data(),
+                                y->bitset_words().size());
+      });
+    case BitmapRep::kBitset:
+      return DispatchPopcount([&] {
+        return CountAndWords(x->bitset_words().data(),
+                             y->bitset_words().data(),
+                             x->bitset_words().size());
+      });
   }
   return 0;
 }
@@ -915,8 +900,10 @@ uint64_t CodecAndCountWah(const ValueBitmap& a, const WahBitmap& selection) {
     case BitmapRep::kWah:
       return WahAndCount(a.wah(), selection);
     case BitmapRep::kBitset:
-      return CountWahAndDense(selection, a.bitset_words().data(),
-                              a.bitset_words().size());
+      return DispatchPopcount([&] {
+        return CountWahAndDense(selection, a.bitset_words().data(),
+                                a.bitset_words().size());
+      });
   }
   return 0;
 }
@@ -947,7 +934,7 @@ uint64_t CodecOrManyCount(const std::vector<const ValueBitmap*>& operands,
     for (const ValueBitmap* vb : operands) wahs.push_back(&vb->wah());
     return WahOrManyCount(wahs, size);
   }
-  return CountWords(AccumulateUnion(operands, size));
+  return PopcountWords(AccumulateUnion(operands, size));
 }
 
 // ---- Position filter -----------------------------------------------------
@@ -1016,17 +1003,71 @@ std::vector<uint32_t> CodecProbePositions(
 // ---- Dense selection -----------------------------------------------------
 
 DenseSelection::DenseSelection(const WahBitmap& selection)
-    : size_(selection.size()), words_(DenseWordCount(selection.size()), 0) {
-  OrWahIntoDense(selection, words_.data(), words_.size());
+    : size_(selection.size()),
+      ones_(selection.CountOnes()),
+      owned_(DenseWordCount(selection.size()), 0),
+      words_(owned_.data()) {
+  OrWahIntoDense(selection, owned_.data(), owned_.size());
+}
+
+DenseSelection::DenseSelection(const ValueBitmap& vb)
+    : size_(vb.size()), ones_(vb.CountOnes()), words_(nullptr) {
+  if (vb.rep() == BitmapRep::kBitset) {
+    words_ = vb.bitset_words().data();
+    return;
+  }
+  owned_.assign(DenseWordCount(size_), 0);
+  OrOperandIntoDense(vb, owned_.data(), owned_.size());
+  words_ = owned_.data();
+}
+
+DenseSelection::DenseSelection(const DenseSelection& selection,
+                               const ValueBitmap& vb)
+    : size_(selection.size_),
+      owned_(selection.words_,
+             selection.words_ + DenseWordCount(selection.size_)),
+      words_(owned_.data()) {
+  CODS_DCHECK(vb.size() == size_);
+  switch (vb.rep()) {
+    case BitmapRep::kArray: {
+      std::vector<uint64_t> mask(owned_.size(), 0);
+      OrOperandIntoDense(vb, mask.data(), mask.size());
+      for (size_t i = 0; i < owned_.size(); ++i) owned_[i] &= mask[i];
+      break;
+    }
+    case BitmapRep::kWah:
+      AndWahIntoDense(vb.wah(), owned_.data(), owned_.size());
+      break;
+    case BitmapRep::kBitset: {
+      const std::vector<uint64_t>& wb = vb.bitset_words();
+      for (size_t i = 0; i < owned_.size(); ++i) owned_[i] &= wb[i];
+      break;
+    }
+  }
+  ones_ = PopcountWords(owned_);
 }
 
 bool DenseSelection::Pays(const WahBitmap& selection, uint64_t probes) {
   return probes * selection.NumWords() > DenseWordCount(selection.size());
 }
 
+bool DenseSelection::Pays(const ValueBitmap& vb, uint64_t probes) {
+  switch (vb.rep()) {
+    case BitmapRep::kArray:
+      return false;
+    case BitmapRep::kWah:
+      return Pays(vb.wah(), probes);
+    case BitmapRep::kBitset:
+      return true;
+  }
+  return false;
+}
+
 uint64_t DenseSelection::AndCount(const ValueBitmap& vb) const {
   CODS_DCHECK(vb.size() == size_);
   if (vb.IsAllZeros()) return 0;
+  if (vb.IsAllOnes()) return ones_;
+  const size_t nwords = DenseWordCount(size_);
   switch (vb.rep()) {
     case BitmapRep::kArray: {
       uint64_t count = 0;
@@ -1036,17 +1077,31 @@ uint64_t DenseSelection::AndCount(const ValueBitmap& vb) const {
       return count;
     }
     case BitmapRep::kWah:
-      return CountWahAndDense(vb.wah(), words_.data(), words_.size());
-    case BitmapRep::kBitset: {
-      const std::vector<uint64_t>& wb = vb.bitset_words();
-      uint64_t count = 0;
-      for (size_t i = 0; i < wb.size(); ++i) {
-        count += static_cast<uint64_t>(std::popcount(words_[i] & wb[i]));
-      }
-      return count;
-    }
+      return DispatchPopcount(
+          [&] { return CountWahAndDense(vb.wah(), words_, nwords); });
+    case BitmapRep::kBitset:
+      return DispatchPopcount([&] {
+        return CountAndWords(words_, vb.bitset_words().data(), nwords);
+      });
   }
   return 0;
+}
+
+uint64_t DenseSelection::AndCount(const DenseSelection& other) const {
+  CODS_DCHECK(other.size_ == size_);
+  if (ones_ == 0 || other.ones_ == 0) return 0;
+  return DispatchPopcount([&] {
+    return CountAndWords(words_, other.words_, DenseWordCount(size_));
+  });
+}
+
+ValueBitmap DenseSelection::AndArray(const ValueBitmap& vb) const {
+  CODS_DCHECK(vb.size() == size_ && vb.rep() == BitmapRep::kArray);
+  std::vector<uint32_t> kept;
+  for (uint32_t p : vb.array_positions()) {
+    if ((words_[p >> 6] >> (p & 63)) & 1) kept.push_back(p);
+  }
+  return ValueBitmap::FromPositions(std::move(kept), size_);
 }
 
 void DenseSelection::AndPositions(const ValueBitmap& vb,

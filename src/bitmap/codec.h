@@ -14,8 +14,9 @@
 //               mixed regime and as the interchange form every kernel
 //               can produce and consume.
 //   * kBitset — raw uint64_t words, for dense values. AND/OR/count are
-//               word-parallel loops the compiler auto-vectorizes;
-//               std::popcount does the counting.
+//               word-parallel loops the compiler auto-vectorizes; the
+//               counting loops run as POPCNT or portable instances
+//               (bitmap/popcount.h).
 //
 // Determinism contract (extends the canonical-form contract of
 // WahBitmap): the representation is a pure function of
@@ -264,29 +265,70 @@ ValueBitmap CodecFilter(const WahPositionFilter& filter,
 std::vector<uint32_t> CodecProbePositions(
     const ValueBitmap& vb, const std::vector<uint32_t>& positions);
 
-/// A selection expanded once into raw words, for callers that probe it
-/// with many value bitmaps (the count-only join's per-value counts, the
-/// ORDER BY walk). CodecAndCountWah / CodecAndWah re-walk the
+/// A selection or value bitmap expanded once into raw words, for callers
+/// that probe it with many value bitmaps: the count-only join's
+/// per-value counts, the ORDER BY walk, and GROUP BY's contingency pass
+/// (query/query_engine.h). CodecAndCountWah / CodecAndWah re-walk the
 /// selection's code words on every call; a dense probe costs only the
 /// value's own positions (array), words (bitset) or code words (WAH) —
-/// its set bits, for AndPositions.
+/// its set bits, for AndPositions — and two dense operands count with
+/// one word AND + popcount loop.
+///
+/// Contract:
+///   * A bitset ValueBitmap is used in place, not copied: it must
+///     outlive the DenseSelection. Every other source is expanded into
+///     owned words, (size + 63) / 64 of them.
+///   * Move-only (a moved-from instance may only be destroyed).
+///   * The popcount is cached at construction; the counting members
+///     run as POPCNT or portable instances (bitmap/popcount.h) and agree
+///     exactly with CodecAndCount on the same row sets.
 class DenseSelection {
  public:
+  /// Expands a WAH selection.
   explicit DenseSelection(const WahBitmap& selection);
+
+  /// Expands a value bitmap (a bitset is borrowed in place).
+  explicit DenseSelection(const ValueBitmap& vb);
+
+  /// selection & vb as owned words: the GROUP BY fold of a WHERE into
+  /// one group. Requires vb.size() == selection.size().
+  DenseSelection(const DenseSelection& selection, const ValueBitmap& vb);
+
+  DenseSelection(DenseSelection&&) noexcept = default;
+  DenseSelection& operator=(DenseSelection&&) noexcept = default;
 
   /// The size rule: `probes` WAH walks of `selection` cost more code
   /// words than one dense copy (one word per 64 rows).
   static bool Pays(const WahBitmap& selection, uint64_t probes);
 
+  /// The same rule for a value bitmap: the WAH rule for kWah; always
+  /// for kBitset (used in place, so free); never for kArray, whose
+  /// probes are O(positions) already.
+  static bool Pays(const ValueBitmap& vb, uint64_t probes);
+
+  [[nodiscard]] uint64_t size() const { return size_; }
+
+  /// O(1): cached at construction.
+  [[nodiscard]] uint64_t CountOnes() const { return ones_; }
+
   /// |vb & selection|.
-  uint64_t AndCount(const ValueBitmap& vb) const;
+  [[nodiscard]] uint64_t AndCount(const ValueBitmap& vb) const;
+
+  /// |other & selection|. Requires equal sizes.
+  [[nodiscard]] uint64_t AndCount(const DenseSelection& other) const;
+
+  /// vb & selection for an array vb, in O(positions): the result is a
+  /// subset of vb, so it stays an array (or the empty bitmap).
+  [[nodiscard]] ValueBitmap AndArray(const ValueBitmap& vb) const;
 
   /// Appends the positions of vb & selection to *out, increasing.
   void AndPositions(const ValueBitmap& vb, std::vector<uint64_t>* out) const;
 
  private:
   uint64_t size_;
-  std::vector<uint64_t> words_;
+  uint64_t ones_ = 0;
+  std::vector<uint64_t> owned_;
+  const uint64_t* words_;  // owned_.data(), or a borrowed bitset's words
 };
 
 /// Converts a freshly built WAH vector into codec form (serial; callers

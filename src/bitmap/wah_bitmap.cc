@@ -302,48 +302,6 @@ std::vector<uint64_t> WahBitmap::SetPositions() const {
   return out;
 }
 
-// ---- WahDecoder ----------------------------------------------------------
-
-WahDecoder::WahDecoder(const WahBitmap& bm) : bm_(&bm) { LoadNext(); }
-
-void WahDecoder::LoadNext() {
-  if (word_index_ < bm_->words_.size()) {
-    uint64_t w = bm_->words_[word_index_++];
-    if (wah::IsFill(w)) {
-      is_fill_ = true;
-      fill_value_ = wah::FillValue(w);
-      remaining_groups_ = wah::FillGroups(w);
-      CODS_DCHECK(remaining_groups_ > 0);
-    } else {
-      is_fill_ = false;
-      literal_ = wah::Literal(w);
-      remaining_groups_ = 1;
-    }
-    return;
-  }
-  if (!tail_emitted_ && bm_->tail_bits_ > 0) {
-    tail_emitted_ = true;
-    is_fill_ = false;
-    literal_ = bm_->tail_;
-    remaining_groups_ = 1;
-    return;
-  }
-  exhausted_ = true;
-  remaining_groups_ = 0;
-}
-
-uint64_t WahDecoder::group_payload() const {
-  CODS_DCHECK(!exhausted_);
-  if (is_fill_) return fill_value_ ? wah::kPayloadMask : 0;
-  return literal_;
-}
-
-void WahDecoder::Consume(uint64_t groups) {
-  CODS_DCHECK(groups <= remaining_groups_);
-  remaining_groups_ -= groups;
-  if (remaining_groups_ == 0) LoadNext();
-}
-
 // ---- WahSetBitIterator ----------------------------------------------------
 
 WahSetBitIterator::WahSetBitIterator(const WahBitmap& bm)

@@ -224,7 +224,7 @@ class WahBitmap {
 /// (the logical ops do).
 class WahDecoder {
  public:
-  explicit WahDecoder(const WahBitmap& bm);
+  explicit WahDecoder(const WahBitmap& bm) : bm_(&bm) { LoadNext(); }
 
   /// True when all groups (including the partial tail) are consumed.
   bool exhausted() const { return exhausted_; }
@@ -237,14 +237,49 @@ class WahDecoder {
   uint64_t remaining_groups() const { return remaining_groups_; }
   /// Payload of the current group: the literal payload, or the expanded
   /// fill pattern (all zeros / all ones).
-  uint64_t group_payload() const;
+  uint64_t group_payload() const {
+    CODS_DCHECK(!exhausted_);
+    if (is_fill_) return fill_value_ ? wah::kPayloadMask : 0;
+    return literal_;
+  }
 
   /// Consumes `groups` groups from the current run. Must be
   /// <= remaining_groups(); advances to the next code word as needed.
-  void Consume(uint64_t groups);
+  void Consume(uint64_t groups) {
+    CODS_DCHECK(groups <= remaining_groups_);
+    remaining_groups_ -= groups;
+    if (remaining_groups_ == 0) LoadNext();
+  }
 
  private:
-  void LoadNext();
+  // The per-group hot path of every WAH kernel lives in this header, so
+  // kernels in other translation units walk runs without a call per
+  // group.
+  void LoadNext() {
+    if (word_index_ < bm_->words_.size()) {
+      const uint64_t w = bm_->words_[word_index_++];
+      if (wah::IsFill(w)) {
+        is_fill_ = true;
+        fill_value_ = wah::FillValue(w);
+        remaining_groups_ = wah::FillGroups(w);
+        CODS_DCHECK(remaining_groups_ > 0);
+      } else {
+        is_fill_ = false;
+        literal_ = wah::Literal(w);
+        remaining_groups_ = 1;
+      }
+      return;
+    }
+    if (!tail_emitted_ && bm_->tail_bits_ > 0) {
+      tail_emitted_ = true;
+      is_fill_ = false;
+      literal_ = bm_->tail_;
+      remaining_groups_ = 1;
+      return;
+    }
+    exhausted_ = true;
+    remaining_groups_ = 0;
+  }
 
   const WahBitmap* bm_;
   size_t word_index_ = 0;

@@ -2,6 +2,8 @@
 
 #include <bit>
 
+#include "bitmap/popcount.h"
+
 namespace cods {
 
 WahBitmap WahFilterPositions(const WahBitmap& src,
@@ -60,11 +62,14 @@ WahPositionFilter::WahPositionFilter(const std::vector<uint64_t>& positions,
     }
     member_words_[pos / 64] |= uint64_t{1} << (pos % 64);
   }
-  uint64_t running = 0;
-  for (size_t w = 0; w < member_words_.size(); ++w) {
-    rank_prefix_[w] = running;
-    running += static_cast<uint64_t>(std::popcount(member_words_[w]));
-  }
+  const uint64_t running = DispatchPopcount([&] {
+    uint64_t ones = 0;
+    for (size_t w = 0; w < member_words_.size(); ++w) {
+      rank_prefix_[w] = ones;
+      ones += Popcount(member_words_[w]);
+    }
+    return ones;
+  });
   rank_prefix_[member_words_.size()] = running;
   CODS_CHECK(running == num_positions_);
 }

@@ -1,9 +1,10 @@
 #include "bitmap/wah_ops.h"
 
 #include <algorithm>
-#include <bit>
 #include <queue>
 #include <utility>
+
+#include "bitmap/popcount.h"
 
 namespace cods {
 
@@ -453,20 +454,23 @@ uint64_t ManyOpCount(const std::vector<const WahBitmap*>& operands, OpKind op,
   CheckOperandSizes(operands, size);
   if (operands.empty()) return op == OpKind::kAnd ? size : 0;
   if (operands.size() == 1) return operands[0]->CountOnes();
-  uint64_t ones = 0;
-  auto emit_fill = [&](bool value, uint64_t groups) {
-    if (value) ones += groups * kWahGroupBits;
-  };
-  auto emit_literal = [&](uint64_t payload, uint64_t bits) {
-    if (bits < kWahGroupBits) payload &= (uint64_t{1} << bits) - 1;
-    ones += static_cast<uint64_t>(std::popcount(payload));
-  };
-  if (UseBlockedManyOp(operands, size)) {
-    RunManyOpBlocked(operands, op, size, emit_fill, emit_literal);
-  } else {
-    RunManyOp(operands, op, size, emit_fill, emit_literal);
-  }
-  return ones;
+  const bool blocked = UseBlockedManyOp(operands, size);
+  return DispatchPopcount([&] {
+    uint64_t ones = 0;
+    auto emit_fill = [&](bool value, uint64_t groups) {
+      if (value) ones += groups * kWahGroupBits;
+    };
+    auto emit_literal = [&](uint64_t payload, uint64_t bits) {
+      if (bits < kWahGroupBits) payload &= (uint64_t{1} << bits) - 1;
+      ones += Popcount(payload);
+    };
+    if (blocked) {
+      RunManyOpBlocked(operands, op, size, emit_fill, emit_literal);
+    } else {
+      RunManyOp(operands, op, size, emit_fill, emit_literal);
+    }
+    return ones;
+  });
 }
 
 }  // namespace
@@ -509,17 +513,19 @@ WahBitmap WahNot(const WahBitmap& a) {
 }
 
 uint64_t WahAndCount(const WahBitmap& a, const WahBitmap& b) {
-  uint64_t ones = 0;
-  RunBinaryOp(
-      a, b, OpKind::kAnd,
-      [&](bool value, uint64_t groups) {
-        if (value) ones += groups * kWahGroupBits;
-      },
-      [&](uint64_t payload, uint64_t bits) {
-        if (bits < kWahGroupBits) payload &= (uint64_t{1} << bits) - 1;
-        ones += static_cast<uint64_t>(std::popcount(payload));
-      });
-  return ones;
+  return DispatchPopcount([&] {
+    uint64_t ones = 0;
+    RunBinaryOp(
+        a, b, OpKind::kAnd,
+        [&](bool value, uint64_t groups) {
+          if (value) ones += groups * kWahGroupBits;
+        },
+        [&](uint64_t payload, uint64_t bits) {
+          if (bits < kWahGroupBits) payload &= (uint64_t{1} << bits) - 1;
+          ones += Popcount(payload);
+        });
+    return ones;
+  });
 }
 
 WahBitmap WahOrMany(const std::vector<const WahBitmap*>& operands,

@@ -926,7 +926,6 @@ Result<std::vector<GroupRow>> QueryEngine::GroupByRows(
   std::vector<std::shared_ptr<const Column>> measures;    // same order
   constexpr size_t kNoMeasure = static_cast<size_t>(-1);
   std::vector<size_t> measure_of_agg(aggregates.size(), kNoMeasure);
-  bool need_group_count = false;
   for (size_t a = 0; a < aggregates.size(); ++a) {
     const AggregateSpec& agg = aggregates[a];
     if (agg.kind == AggregateSpec::Kind::kCount) {
@@ -935,7 +934,6 @@ Result<std::vector<GroupRow>> QueryEngine::GroupByRows(
       if (!agg.column.empty()) {
         CODS_RETURN_NOT_OK(table.ResolveColumnRef(agg.column).status());
       }
-      need_group_count = true;
       continue;
     }
     if (agg.column.empty()) {
@@ -969,34 +967,50 @@ Result<std::vector<GroupRow>> QueryEngine::GroupByRows(
   }
 
   ExecContext exec = ResolveContext(ctx);
-  // An optional WHERE narrows each group bitmap with ONE compressed AND
-  // before the per-measure counts; evaluated once, shared read-only by
-  // every group task.
-  WahBitmap selection;
+  // The WHERE is evaluated once and expanded once into dense words; each
+  // group folds it in once below, and every group task shares it
+  // read-only.
+  std::optional<DenseSelection> selection;
   const bool filtered = where != nullptr;
   if (filtered) {
-    CODS_ASSIGN_OR_RETURN(selection, EvalExpr(table, where, &exec));
+    CODS_ASSIGN_OR_RETURN(WahBitmap sel, EvalExpr(table, where, &exec));
+    selection.emplace(sel);
   }
-  // Hoist per-measure emptiness out of the O(v_group · v_measure) loop;
-  // the inner combine stays on the count-only kernel (nothing is
-  // materialized).
+  // Hoist per-measure emptiness out of the O(v_group · v_measure) loop.
+  // A measure value probed by enough groups is expanded once into dense
+  // words (DenseSelection::Pays; bitsets are used in place, arrays never
+  // expand). The values of a column partition its rows, so at most 63 of
+  // them are WAH (each holds more than rows/64 ones): the expansion is
+  // bounded by 63 · rows/8 bytes per measure column.
   struct LiveMeasure {
     std::vector<const ValueBitmap*> bitmaps;
     std::vector<Vid> vids;
     std::vector<double> numeric;  // 0 for strings (never summed)
+    std::vector<std::optional<DenseSelection>> dense;  // same order
   };
+  uint64_t probing_groups = 0;
+  for (Vid v = 0; v < group->distinct_count(); ++v) {
+    if (!group->bitmap(v).IsAllZeros()) ++probing_groups;
+  }
   std::vector<LiveMeasure> live(measures.size());
+  uint64_t live_values = 0;
   for (size_t m = 0; m < measures.size(); ++m) {
     const Column& col = *measures[m];
     for (Vid v = 0; v < col.distinct_count(); ++v) {
-      if (col.bitmap(v).IsAllZeros()) continue;
-      live[m].bitmaps.push_back(&col.bitmap(v));
+      const ValueBitmap& vb = col.bitmap(v);
+      if (vb.IsAllZeros()) continue;
+      live[m].dense.emplace_back();
+      if (DenseSelection::Pays(vb, probing_groups)) {
+        live[m].dense.back().emplace(vb);
+      }
+      live[m].bitmaps.push_back(&vb);
       live[m].vids.push_back(v);
       const Value& value = col.dict().value(v);
       live[m].numeric.push_back(value.is_int64()
                                     ? static_cast<double>(value.int64())
                                     : value.is_double() ? value.dbl() : 0.0);
     }
+    live_values += live[m].bitmaps.size();
   }
   // One task per group value: the inner AND-counts are independent, and
   // each group writes its own pre-sized slot, so dictionary order (and
@@ -1006,30 +1020,33 @@ Result<std::vector<GroupRow>> QueryEngine::GroupByRows(
   Status st = ParallelFor(
       exec, 0, group->distinct_count(), 4, [&](uint64_t g) {
         const ValueBitmap& gvb = group->bitmap(static_cast<Vid>(g));
-        // With a WHERE, the group bitmap narrows to canonical WAH via
-        // one codec AND; unfiltered groups stay in their codec container
-        // and the inner counts dispatch on the representation pair.
-        WahBitmap narrowed;
-        bool use_narrowed = false;
-        if (filtered) {
-          if (!gvb.IsAllZeros()) {
-            narrowed = CodecAndWah(gvb, selection);
-            use_narrowed = true;
-          }
-          if (use_narrowed ? narrowed.IsAllZeros() : gvb.IsAllZeros()) {
-            // SQL semantics: a WHERE that leaves a group no qualifying
-            // rows drops the group (unlike a group genuinely summing
-            // to 0, which stays).
-            qualifies[g] = 0;
-            return Status::OK();
+        // The group operand of the contingency row: dense words when
+        // folded with the WHERE (non-array groups) or probed often
+        // enough, else a compressed container — the group itself, or,
+        // for an array group under a WHERE, its qualifying positions.
+        std::optional<DenseSelection> dense_group;
+        ValueBitmap sparse_group;
+        const ValueBitmap* compressed_group = &gvb;
+        if (!gvb.IsAllZeros()) {
+          if (selection && gvb.rep() == BitmapRep::kArray) {
+            sparse_group = selection->AndArray(gvb);
+            compressed_group = &sparse_group;
+          } else if (selection) {
+            dense_group.emplace(*selection, gvb);
+          } else if (DenseSelection::Pays(gvb, live_values)) {
+            dense_group.emplace(gvb);
           }
         }
-        const bool empty_group =
-            use_narrowed ? narrowed.IsAllZeros() : gvb.IsAllZeros();
-        const uint64_t group_count =
-            need_group_count && !empty_group
-                ? (use_narrowed ? narrowed.CountOnes() : gvb.CountOnes())
-                : 0;
+        const uint64_t group_count = dense_group
+                                         ? dense_group->CountOnes()
+                                         : compressed_group->CountOnes();
+        if (filtered && group_count == 0) {
+          // SQL semantics: a WHERE that leaves a group no qualifying
+          // rows drops the group (unlike a group genuinely summing to
+          // 0, which stays).
+          qualifies[g] = 0;
+          return Status::OK();
+        }
         struct Acc {
           double sum = 0;
           uint64_t count = 0;
@@ -1037,14 +1054,23 @@ Result<std::vector<GroupRow>> QueryEngine::GroupByRows(
           const Value* max = nullptr;
         };
         std::vector<Acc> accs(measures.size());
-        if (!empty_group) {
+        if (group_count != 0) {
           for (size_t m = 0; m < measures.size(); ++m) {
             const LiveMeasure& lm = live[m];
             Acc& acc = accs[m];
             for (size_t i = 0; i < lm.bitmaps.size(); ++i) {
-              uint64_t count =
-                  use_narrowed ? CodecAndCountWah(*lm.bitmaps[i], narrowed)
-                               : CodecAndCount(gvb, *lm.bitmaps[i]);
+              // Word AND + popcount when both sides are dense, one
+              // dense probe when one is, the codec pair kernel when
+              // neither is.
+              const std::optional<DenseSelection>& dense_value = lm.dense[i];
+              const uint64_t count =
+                  dense_group
+                      ? (dense_value ? dense_group->AndCount(*dense_value)
+                                     : dense_group->AndCount(*lm.bitmaps[i]))
+                      : (dense_value
+                             ? dense_value->AndCount(*compressed_group)
+                             : CodecAndCount(*compressed_group,
+                                             *lm.bitmaps[i]));
               if (count == 0) continue;
               acc.sum += lm.numeric[i] * static_cast<double>(count);
               acc.count += count;

@@ -236,6 +236,22 @@ class QueryEngine {
   /// entry (zero-count dictionary values included, as GroupByCount
   /// does; their MIN/MAX/AVG are NULL); with a WHERE, groups left
   /// without qualifying rows are omitted (SQL GROUP BY semantics).
+  ///
+  /// One dense contingency pass: the WHERE is evaluated once and
+  /// expanded once into dense words, and folded into each group once
+  /// (dense g ∧ sel; an array group keeps its qualifying positions).
+  /// Every operand probed often enough (DenseSelection::Pays) is
+  /// expanded once per statement — bitsets are used in place, arrays
+  /// never expand — so each (group, measure value) count is a word
+  /// AND + popcount when both sides are dense, one dense probe when one
+  /// is, and CodecAndCount when neither is. Transient memory is bounded
+  /// by 63 · rows/8 bytes per measure column (at most 63 values of a
+  /// column can be WAH), plus one dense group per worker thread.
+  ///
+  /// Determinism: one task per group writes a pre-sized slot, and SUM
+  /// adds value × count over the measure's values in vid order, so
+  /// results — SUM/AVG doubles included — are bit-identical at every
+  /// thread count.
   static Result<std::vector<GroupRow>> GroupByRows(
       const Table& table, const std::string& group_by,
       const std::vector<AggregateSpec>& aggregates, const ExprPtr& where,

@@ -519,7 +519,8 @@ void Server::HandleFrame(const std::shared_ptr<Conn>& conn,
 void Server::AdmitStatement(const std::shared_ptr<Conn>& conn,
                             uint64_t request_id, Statement stmt) {
   Snapshot snap = GetSnapshot();
-  Lane lane = ClassifyStatement(stmt, snap.root(), options_.heavy_row_threshold);
+  Lane lane =
+      ClassifyStatement(stmt, snap.root(), options_.heavy_row_threshold);
   auto payload = std::make_shared<PendingStatement>();
   payload->conn = conn;
   payload->request_id = request_id;
@@ -605,12 +606,23 @@ void Server::RunBatch(Lane lane, std::vector<AdmissionTask> tasks) {
   for (size_t i = 0; i < queries.size(); ++i) {
     const auto& stmt = queries[i];
     BatchOutcome& out = outcomes[i];
+    std::string response;
     if (out.status.ok()) {
-      SendResponse(stmt->conn,
-                   EncodeQueryResult(stmt->request_id, out.result));
-    } else {
-      SendResponse(stmt->conn, EncodeError(stmt->request_id, out.status));
+      response = EncodeQueryResult(stmt->request_id, out.result);
+      // The peer enforces the same frame limit and would drop the whole
+      // connection on a larger frame; refuse just this statement.
+      const size_t payload = response.size() - kFrameHeaderBytes;
+      if (payload > options_.max_frame_bytes) {
+        out.status = Status::OutOfRange(
+            "result frame of " + std::to_string(payload) +
+            " bytes exceeds the frame limit of " +
+            std::to_string(options_.max_frame_bytes) + " bytes");
+      }
     }
+    if (!out.status.ok()) {
+      response = EncodeError(stmt->request_id, out.status);
+    }
+    SendResponse(stmt->conn, std::move(response));
   }
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats_.batch.statements += batch_stats.statements;

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <set>
 
+#include "bitmap/popcount.h"
 #include "bitmap/wah_filter.h"
 #include "bitmap/wah_ops.h"
 #include "common/random.h"
@@ -236,6 +237,116 @@ TEST(CodecKernels, DenseSelectionMatchesWahInterchangeKernels) {
   const WahBitmap sparse = MakeRandom(kSweepSize, 30, 9).ToWah();
   EXPECT_FALSE(DenseSelection::Pays(sparse, 1));
   EXPECT_TRUE(DenseSelection::Pays(sparse, 1000));
+}
+
+TEST(CodecKernels, DenseSelectionOverValueBitmaps) {
+  // Sizes with and without a partial tail word.
+  for (uint64_t size : {kSweepSize, kSweepSize + 3}) {
+    const WahBitmap selection = MakeRandom(size, size / 3, 41).ToWah();
+    const DenseSelection dense_sel(selection);
+    for (const DensityClass& ca : kClasses) {
+      const uint64_t a_ones = ca.ones == kSweepSize ? size : ca.ones;
+      const ValueBitmap a = MakeRandom(size, a_ones, 900 + ca.ones);
+      ASSERT_EQ(a.rep(), ca.rep);
+      const WahBitmap wa = a.ToWah();
+      DenseSelection da(a);
+      EXPECT_EQ(da.CountOnes(), a.CountOnes());
+      EXPECT_EQ(da.size(), size);
+      // The GROUP BY fold: selection & a, owned, popcount cached.
+      DenseSelection folded(dense_sel, a);
+      const WahBitmap wfolded = WahAnd(wa, selection);
+      EXPECT_EQ(folded.CountOnes(), wfolded.CountOnes()) << a.ToString();
+      if (a.rep() == BitmapRep::kArray) {
+        EXPECT_EQ(dense_sel.AndArray(a), ValueBitmap::FromWah(wfolded));
+      }
+      // Move keeps the words (owned or borrowed) reachable.
+      DenseSelection moved(std::move(da));
+      for (const DensityClass& cb : kClasses) {
+        const uint64_t b_ones = cb.ones == kSweepSize ? size : cb.ones;
+        const ValueBitmap b = MakeRandom(size, b_ones, 1700 + cb.ones);
+        const WahBitmap wb = b.ToWah();
+        SCOPED_TRACE(a.ToString() + " x " + b.ToString());
+        const uint64_t want = WahAndCount(wa, wb);
+        EXPECT_EQ(CodecAndCount(a, b), want);
+        EXPECT_EQ(moved.AndCount(b), want);
+        EXPECT_EQ(moved.AndCount(DenseSelection(b)), want);
+        EXPECT_EQ(folded.AndCount(b), WahAndCount(wfolded, wb));
+        EXPECT_EQ(folded.AndCount(DenseSelection(b)),
+                  WahAndCount(wfolded, wb));
+      }
+    }
+  }
+  // The value-bitmap size rule: arrays never expand (their probes are
+  // O(positions)), bitsets always (in place), WAH by the word rule.
+  const ValueBitmap array = MakeRandom(kSweepSize, 30, 1);
+  const ValueBitmap wah = MakeRandom(kSweepSize, 400, 2);
+  const ValueBitmap bitset = MakeRandom(kSweepSize, 2000, 3);
+  EXPECT_FALSE(DenseSelection::Pays(array, 1'000'000));
+  EXPECT_TRUE(DenseSelection::Pays(bitset, 1));
+  EXPECT_FALSE(DenseSelection::Pays(wah, 0));
+  EXPECT_TRUE(DenseSelection::Pays(wah, 64));
+  EXPECT_EQ(DenseSelection::Pays(wah, 2), DenseSelection::Pays(wah.wah(), 2));
+}
+
+// Both popcount instances (bitmap/popcount.h) against a bit loop, on
+// seeded words plus 0, ~0, single bits, and ranges ending inside a word.
+uint64_t BitLoopCount(const std::vector<uint64_t>& words, uint64_t start,
+                      uint64_t end) {
+  uint64_t ones = 0;
+  for (uint64_t bit = start; bit < end; ++bit) {
+    ones += (words[bit / 64] >> (bit % 64)) & 1;
+  }
+  return ones;
+}
+
+TEST(Popcount, InstancesAgreeWithBitLoop) {
+  Rng rng(64);
+  std::vector<uint64_t> a = {0, ~uint64_t{0}, uint64_t{1}, uint64_t{1} << 63,
+                             uint64_t{1} << 31, 0x5555555555555555ULL};
+  for (int bit = 0; bit < 64; ++bit) a.push_back(uint64_t{1} << bit);
+  while (a.size() < 200) {
+    a.push_back(static_cast<uint64_t>(rng.engine()()) &
+                static_cast<uint64_t>(rng.engine()()));
+  }
+  std::vector<uint64_t> b(a.rbegin(), a.rend());
+  std::vector<uint64_t> both(a.size());
+  for (size_t i = 0; i < a.size(); ++i) both[i] = a[i] & b[i];
+
+  auto check = [&](const auto& run, const char* instance) {
+    SCOPED_TRACE(instance);
+    for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{7}, a.size()}) {
+      EXPECT_EQ(run([&] { return CountWords(a.data(), n); }),
+                BitLoopCount(a, 0, n * 64))
+          << n;
+      EXPECT_EQ(run([&] { return CountAndWords(a.data(), b.data(), n); }),
+                BitLoopCount(both, 0, n * 64))
+          << n;
+    }
+    const uint64_t bits = a.size() * 64;
+    std::vector<std::pair<uint64_t, uint64_t>> ranges = {
+        {0, 0}, {0, 1}, {5, 6}, {63, 64}, {63, 65}, {0, 64}, {64, 128},
+        {1, bits - 1}, {0, bits}, {100, 100}, {127, 129}};
+    for (int i = 0; i < 200; ++i) {
+      uint64_t x = static_cast<uint64_t>(
+          rng.Uniform(0, static_cast<int64_t>(bits)));
+      uint64_t y = static_cast<uint64_t>(
+          rng.Uniform(0, static_cast<int64_t>(bits)));
+      ranges.emplace_back(std::min(x, y), std::max(x, y));
+    }
+    for (const auto& [start, end] : ranges) {
+      EXPECT_EQ(run([&] { return CountRange(a.data(), start, end); }),
+                BitLoopCount(a, start, end))
+          << "[" << start << ", " << end << ")";
+    }
+  };
+  check([](const auto& kernel) { return kernel(); }, "portable");
+#if CODS_POPCNT_DISPATCH
+  if (CpuHasPopcnt()) {
+    check([](const auto& kernel) { return RunPopcnt(kernel); }, "popcnt");
+  }
+#endif
+  check([](const auto& kernel) { return DispatchPopcount(kernel); },
+        "dispatched");
 }
 
 TEST(CodecKernels, AppendToWahMatchesConcat) {

@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/random.h"
 #include "evolution/decompose.h"
 #include "evolution/engine.h"
 #include "evolution/merge.h"
@@ -448,6 +449,73 @@ TEST(ParallelDeterminismTest, OrderByLimitAndMultiAggregate) {
       // order per group, at every thread count.
       EXPECT_TRUE((*ref_group)[i] == (*group)[i])
           << "multi-agg group " << i << " @" << threads;
+    }
+  }
+}
+
+// The analytic GROUP BY shape: P with 4 skewed values (two bitsets, two
+// WAH), V with 16 WAH values of fractional doubles, K with 1000 array
+// values; 40 000 rows in seeded random order.
+std::shared_ptr<const Table> ContingencyTable() {
+  constexpr uint64_t kRows = 40'000;
+  Rng rng(77);
+  Dictionary p_dict, v_dict, k_dict;
+  for (int64_t i = 0; i < 4; ++i) p_dict.GetOrInsert(Value(i));
+  for (int i = 0; i < 16; ++i) v_dict.GetOrInsert(Value(0.1 * i + 1e-3));
+  for (int64_t i = 0; i < 1000; ++i) k_dict.GetOrInsert(Value(i * 7));
+  std::vector<Vid> p(kRows), v(kRows), k(kRows);
+  for (uint64_t r = 0; r < kRows; ++r) {
+    const double u = rng.NextDouble();
+    p[r] = u < 0.4 ? 0 : u < 0.7 ? 1 : u < 0.9 ? 2 : 3;
+    v[r] = static_cast<Vid>(rng.Uniform(0, 15));
+    k[r] = static_cast<Vid>(rng.Uniform(0, 999));
+  }
+  Schema schema({{"P", DataType::kInt64, false},
+                 {"V", DataType::kDouble, false},
+                 {"K", DataType::kInt64, false}},
+                {});
+  std::vector<std::shared_ptr<const Column>> cols = {
+      Column::FromVids(DataType::kInt64, std::move(p_dict), p),
+      Column::FromVids(DataType::kDouble, std::move(v_dict), v),
+      Column::FromVids(DataType::kInt64, std::move(k_dict), k)};
+  return Table::Make("C", schema, std::move(cols), kRows).ValueOrDie();
+}
+
+TEST(ParallelDeterminismTest, GroupByContingencyPass) {
+  auto c = ContingencyTable();
+  ASSERT_EQ(c->column(0)->bitmap(0).rep(), BitmapRep::kBitset);
+  ASSERT_EQ(c->column(0)->bitmap(3).rep(), BitmapRep::kWah);
+  ASSERT_EQ(c->column(1)->bitmap(0).rep(), BitmapRep::kWah);
+  ASSERT_EQ(c->column(2)->bitmap(0).rep(), BitmapRep::kArray);
+  auto aggs_over = [](const std::string& m) {
+    return std::vector<AggregateSpec>{
+        AggregateSpec::Count(), AggregateSpec::Sum(m), AggregateSpec::Min(m),
+        AggregateSpec::Max(m), AggregateSpec::Avg(m)};
+  };
+  const std::vector<ExprPtr> wheres = {
+      nullptr, Expr::Compare("K", CompareOp::kLt, Value(int64_t{3500})),
+      Expr::In("V", {Value(0.201), Value(1.001)})};
+  const std::pair<std::string, std::string> shapes[] = {
+      {"P", "V"}, {"V", "P"}, {"K", "V"}, {"P", "K"}};
+  ExecContext serial(1);
+  for (const auto& [group, measure] : shapes) {
+    for (size_t w = 0; w < wheres.size(); ++w) {
+      const std::string label = group + " x " + measure + " where#" +
+                                std::to_string(w);
+      auto ref = QueryEngine::GroupByRows(*c, group, aggs_over(measure),
+                                          wheres[w], &serial);
+      ASSERT_TRUE(ref.ok()) << label << ": " << ref.status().ToString();
+      for (int threads : kThreadCounts) {
+        ExecContext ctx(threads);
+        auto got = QueryEngine::GroupByRows(*c, group, aggs_over(measure),
+                                            wheres[w], &ctx);
+        ASSERT_TRUE(got.ok()) << label;
+        ASSERT_EQ(ref->size(), got->size()) << label;
+        for (size_t i = 0; i < got->size(); ++i) {
+          EXPECT_TRUE((*ref)[i] == (*got)[i])
+              << label << " group " << i << " @" << threads;
+        }
+      }
     }
   }
 }

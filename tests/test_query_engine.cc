@@ -5,6 +5,7 @@
 
 #include "query/query_engine.h"
 
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <set>
@@ -1186,6 +1187,242 @@ TEST(QueryEngine, SnapshotQueriesMatchQuiescedCatalog) {
   ASSERT_NE(still.table, nullptr);
   EXPECT_EQ(live.table->Materialize(), still.table->Materialize());
   EXPECT_EQ(live.ToString(), still.ToString());
+}
+
+// ---- GROUP BY contingency pass: seeded sweep against a row oracle ---------
+
+// Builds a dictionary column from per-row vids over `values` (values
+// without rows stay in the dictionary: empty dictionary values).
+std::shared_ptr<const Column> ColumnOf(DataType type,
+                                       const std::vector<Value>& values,
+                                       std::vector<Vid> vids) {
+  Dictionary dict;
+  for (const Value& v : values) dict.GetOrInsert(v);
+  return Column::FromVids(type, std::move(dict), vids);
+}
+
+// Per-row vids where vid i covers exactly counts[i] rows, scattered by a
+// seeded permutation, except vid `clustered` whose rows are one
+// contiguous block starting at `block_start` (one-fill WAH runs).
+std::vector<Vid> VidsWithCounts(const std::vector<uint64_t>& counts,
+                                uint64_t rows, Rng* rng, Vid clustered,
+                                uint64_t block_start) {
+  std::vector<Vid> vids(rows, 0);
+  std::vector<bool> taken(rows, false);
+  for (uint64_t r = 0; r < counts[clustered]; ++r) {
+    vids[block_start + r] = clustered;
+    taken[block_start + r] = true;
+  }
+  std::vector<uint64_t> free_rows;
+  for (uint64_t r : rng->Permutation(rows)) {
+    if (!taken[r]) free_rows.push_back(r);
+  }
+  size_t next = 0;
+  for (Vid v = 0; v < counts.size(); ++v) {
+    if (v == clustered) continue;
+    for (uint64_t i = 0; i < counts[v]; ++i) vids[free_rows[next++]] = v;
+  }
+  EXPECT_EQ(next, free_rows.size());
+  return vids;
+}
+
+// T(g, m, k, s, x) over 6400 rows (size/64 = 100, (size+3)/4 = 1600):
+//   g  int64,  counts 100 | 101 | 1599 | 1600 | 1000 clustered | 2000 |
+//              0 — array, WAH, WAH, bitset, one-fill WAH, bitset, empty;
+//   m  double, the same counts over fractional values (summation order
+//              shows in the low bits), clustered elsewhere;
+//   k  int64,  1000 values, every one an array (some empty);
+//   s  string, 20 values;
+//   x  double, 7 values including NaN.
+std::shared_ptr<const Table> ContingencyTable() {
+  constexpr uint64_t kRows = 6400;
+  const std::vector<uint64_t> counts = {100, 101, 1599, 1600, 1000, 2000, 0};
+  Rng rng(2024);
+  std::vector<Value> g_values, m_values, k_values, s_values;
+  const double ms[] = {0.1, -1.25, 3.3, 2.5e6, 0.7, 11.0, 42.0};
+  for (int64_t i = 0; i < 7; ++i) {
+    g_values.emplace_back(i * 10);
+    m_values.emplace_back(ms[i]);
+  }
+  for (int64_t i = 0; i < 1000; ++i) k_values.emplace_back(i);
+  for (int i = 0; i < 20; ++i) s_values.emplace_back("s" + std::to_string(i));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Value> x_values = {Value(-2.5), Value(0.0), Value(nan),
+                                       Value(1.5),  Value(9.0), Value(-0.5),
+                                       Value(4.0)};
+  std::vector<Vid> k_vids(kRows), s_vids(kRows), x_vids(kRows);
+  for (uint64_t r = 0; r < kRows; ++r) {
+    k_vids[r] = static_cast<Vid>(rng.Uniform(0, 999));
+    s_vids[r] = static_cast<Vid>(rng.Uniform(0, 19));
+    x_vids[r] = static_cast<Vid>(rng.Uniform(0, 6));
+  }
+  Schema schema({{"g", DataType::kInt64, false},
+                 {"m", DataType::kDouble, false},
+                 {"k", DataType::kInt64, false},
+                 {"s", DataType::kString, false},
+                 {"x", DataType::kDouble, false}},
+                {});
+  std::vector<std::shared_ptr<const Column>> cols = {
+      ColumnOf(DataType::kInt64, g_values,
+               VidsWithCounts(counts, kRows, &rng, 4, 2000)),
+      ColumnOf(DataType::kDouble, m_values,
+               VidsWithCounts(counts, kRows, &rng, 4, 5000)),
+      ColumnOf(DataType::kInt64, k_values, k_vids),
+      ColumnOf(DataType::kString, s_values, s_vids),
+      ColumnOf(DataType::kDouble, x_values, x_vids)};
+  return Table::Make("T", schema, std::move(cols), kRows).ValueOrDie();
+}
+
+// Exact Value equality, with NaN equal to NaN.
+bool SameValue(const Value& a, const Value& b) {
+  if (a.is_double() && b.is_double() && std::isnan(a.dbl()) &&
+      std::isnan(b.dbl())) {
+    return true;
+  }
+  return a == b;
+}
+
+// The naive GROUP BY: decode every row, filter, bucket by group vid.
+// SUM adds value × count over the measure's dictionary in vid order,
+// skipping values without rows — the engine's documented summation
+// order, so doubles must match to the bit.
+// `decoded` and `vids` are t's rows and per-column vids, decoded once.
+std::vector<GroupRow> OracleGroupBy(const Table& t,
+                                    const std::vector<Row>& decoded,
+                                    const std::vector<std::vector<Vid>>& vids,
+                                    const std::string& group,
+                                    const std::vector<AggregateSpec>& aggs,
+                                    const ExprPtr& where) {
+  const size_t gi = t.schema().ResolveColumnRef(group).ValueOrDie();
+  const Column& gcol = *t.column(gi);
+  std::vector<std::vector<uint64_t>> members(gcol.distinct_count());
+  for (uint64_t r = 0; r < decoded.size(); ++r) {
+    if (where == nullptr || RowMatches(*where, t.schema(), decoded[r])) {
+      members[vids[gi][r]].push_back(r);
+    }
+  }
+  std::vector<GroupRow> out;
+  for (Vid g = 0; g < gcol.distinct_count(); ++g) {
+    if (where != nullptr && members[g].empty()) continue;
+    GroupRow row{gcol.dict().value(g), {}};
+    for (const AggregateSpec& agg : aggs) {
+      if (agg.kind == AggregateSpec::Kind::kCount) {
+        row.aggregates.emplace_back(
+            static_cast<int64_t>(members[g].size()));
+        continue;
+      }
+      const size_t mi = t.schema().ResolveColumnRef(agg.column).ValueOrDie();
+      const Column& mcol = *t.column(mi);
+      std::vector<uint64_t> per_value(mcol.distinct_count(), 0);
+      for (uint64_t r : members[g]) ++per_value[vids[mi][r]];
+      double sum = 0;
+      const Value* min = nullptr;
+      const Value* max = nullptr;
+      for (Vid v = 0; v < mcol.distinct_count(); ++v) {
+        if (per_value[v] == 0) continue;
+        const Value& value = mcol.dict().value(v);
+        const double numeric = value.is_int64()
+                                   ? static_cast<double>(value.int64())
+                                   : value.is_double() ? value.dbl() : 0.0;
+        sum += numeric * static_cast<double>(per_value[v]);
+        if (min == nullptr || value < *min) min = &value;
+        if (max == nullptr || *max < value) max = &value;
+      }
+      switch (agg.kind) {
+        case AggregateSpec::Kind::kSum:
+          row.aggregates.emplace_back(sum);
+          break;
+        case AggregateSpec::Kind::kAvg:
+          row.aggregates.push_back(
+              members[g].empty()
+                  ? Value::Null()
+                  : Value(sum / static_cast<double>(members[g].size())));
+          break;
+        case AggregateSpec::Kind::kMin:
+          row.aggregates.push_back(min == nullptr ? Value::Null() : *min);
+          break;
+        case AggregateSpec::Kind::kMax:
+          row.aggregates.push_back(max == nullptr ? Value::Null() : *max);
+          break;
+        case AggregateSpec::Kind::kCount:
+          break;
+      }
+    }
+    out.push_back(std::move(row));
+  }
+  return out;
+}
+
+TEST(QueryEngine, GroupByContingencyMatchesRowOracleSweep) {
+  auto table = ContingencyTable();
+  // The containers sit exactly where the sweep means them to.
+  const Column& g = *table->column(0);
+  const BitmapRep want[] = {BitmapRep::kArray, BitmapRep::kWah,
+                            BitmapRep::kWah,   BitmapRep::kBitset,
+                            BitmapRep::kWah,   BitmapRep::kBitset,
+                            BitmapRep::kWah};
+  for (Vid v = 0; v < g.distinct_count(); ++v) {
+    EXPECT_EQ(g.bitmap(v).rep(), want[v]) << "g vid " << v;
+    EXPECT_EQ(table->column(1)->bitmap(v).rep(), want[v]) << "m vid " << v;
+  }
+  EXPECT_TRUE(g.bitmap(6).IsAllZeros());
+  EXPECT_LT(g.bitmap(4).wah().NumWords(), 100u);  // one-fill clustered
+  for (Vid v = 0; v < table->column(2)->distinct_count(); ++v) {
+    const ValueBitmap& vb = table->column(2)->bitmap(v);
+    EXPECT_TRUE(vb.rep() == BitmapRep::kArray || vb.IsAllZeros()) << v;
+  }
+
+  auto i64 = [](int64_t v) { return Value(v); };
+  const std::vector<std::pair<std::string, ExprPtr>> wheres = {
+      {"none", nullptr},
+      {"0%", Expr::Compare("m", CompareOp::kEq, Value(999.0))},
+      {"sparse", Expr::Compare("k", CompareOp::kLt, i64(10))},
+      {"dense", Expr::Compare("m", CompareOp::kNe, Value(0.1))},
+      {"100%", Expr::Compare("k", CompareOp::kGe, i64(0))},
+      {"mixed", Expr::Or({Expr::In("g", {i64(20), i64(40)}),
+                          Expr::Compare("s", CompareOp::kEq, Value("s3"))})},
+  };
+  const std::vector<AggregateSpec> aggs = {
+      AggregateSpec::Count(),     AggregateSpec::Sum("m"),
+      AggregateSpec::Avg("m"),    AggregateSpec::Min("m"),
+      AggregateSpec::Max("m"),    AggregateSpec::Sum("g"),
+      AggregateSpec::Min("s"),    AggregateSpec::Max("s"),
+      AggregateSpec::Min("x"),    AggregateSpec::Max("x"),
+      AggregateSpec::Avg("k"),    AggregateSpec::Max("k")};
+  const std::vector<Row> decoded = table->Materialize();
+  std::vector<std::vector<Vid>> vids;
+  for (size_t c = 0; c < table->num_columns(); ++c) {
+    vids.push_back(table->column(c)->DecodeVids());
+  }
+  int checked = 0;
+  for (const std::string group : {"g", "m", "k", "s", "x"}) {
+    for (const auto& [label, where] : wheres) {
+      const std::vector<GroupRow> want_rows =
+          OracleGroupBy(*table, decoded, vids, group, aggs, where);
+      for (int threads : {1, 4}) {
+        ExecContext ctx(threads);
+        auto got = QueryEngine::GroupByRows(*table, group, aggs, where, &ctx);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ASSERT_EQ(got->size(), want_rows.size())
+            << "GROUP BY " << group << " WHERE " << label;
+        for (size_t i = 0; i < want_rows.size(); ++i) {
+          const GroupRow& a = (*got)[i];
+          const GroupRow& b = want_rows[i];
+          ASSERT_TRUE(SameValue(a.group, b.group)) << group << " " << i;
+          ASSERT_EQ(a.aggregates.size(), b.aggregates.size());
+          for (size_t j = 0; j < b.aggregates.size(); ++j) {
+            EXPECT_TRUE(SameValue(a.aggregates[j], b.aggregates[j]))
+                << "GROUP BY " << group << " WHERE " << label << " group "
+                << b.group.ToString() << " " << aggs[j].ToString() << ": "
+                << a.aggregates[j].ToString() << " vs "
+                << b.aggregates[j].ToString();
+          }
+        }
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 60);
 }
 
 }  // namespace

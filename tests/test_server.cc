@@ -843,6 +843,46 @@ TEST(Server, DeeplyNestedWhereIsATypedErrorNotACrash) {
   EXPECT_EQ(again.ValueOrDie().count, 7u);
 }
 
+// A result larger than the frame limit would make the peer drop the
+// whole connection as a protocol error. The server answers just that
+// statement with a typed error naming the size and the limit; the
+// session and its bystanders keep being served.
+TEST(Server, OversizedResultIsATypedErrorNotADroppedConnection) {
+  server::ServerOptions options;
+  options.max_frame_bytes = 4096;
+  TestServer ts(options, /*with_big_table=*/true);
+  auto bystander = ts.Connect();
+  auto hostile = ts.Connect();
+
+  auto resp = hostile->Execute("SELECT * FROM B;");
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  ASSERT_EQ(resp.ValueOrDie().type, FrameType::kError)
+      << server::FormatWireResponse(resp.ValueOrDie());
+  const Status& error = resp.ValueOrDie().error;
+  EXPECT_TRUE(error.IsOutOfRange()) << error.ToString();
+  EXPECT_NE(error.message().find("exceeds the frame limit of 4096 bytes"),
+            std::string::npos)
+      << error.ToString();
+  EXPECT_NE(error.message().find("result frame of "), std::string::npos)
+      << error.ToString();
+
+  // The same session's next statement is answered.
+  auto small = hostile->Execute("SELECT COUNT(*) FROM R;");
+  ASSERT_TRUE(small.ok()) << small.status().ToString();
+  EXPECT_EQ(small.ValueOrDie().count, 7u);
+  // A result under the limit still goes out whole.
+  auto groups = hostile->Execute("SELECT Employee, COUNT(*) FROM R "
+                                 "GROUP BY Employee;");
+  ASSERT_TRUE(groups.ok()) << groups.status().ToString();
+  EXPECT_EQ(groups.ValueOrDie().type, FrameType::kResultGroups);
+  // The bystander keeps being served.
+  auto count =
+      bystander->Execute("SELECT COUNT(*) FROM R WHERE Employee = 'Jones';");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count.ValueOrDie().count, 3u);
+  EXPECT_EQ(ts.srv->GetStats().protocol_errors, 0u);
+}
+
 // Satellite (c), fuzz half: seeded garbage blasted at raw sockets (no
 // handshake) never crashes or wedges the server.
 TEST(Server, SeededSocketFuzzLoop) {
