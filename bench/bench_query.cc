@@ -31,6 +31,11 @@
 //   * BM_Query_JoinCountWhere: COUNT(*) over the key-FK join with a
 //     dimension-side WHERE, and with a fact-side conjunct as well —
 //     pushed below the join onto the count-only plan.
+//   * BM_Query_PointProject: the point SELECT's result build — a 10-row
+//     (K = k) and a 30-row (K IN (a, b, c)) selection projecting two
+//     1000-value columns through their row → vid maps. The cold series
+//     projects freshly built columns, so each iteration pays the map
+//     build; the warm series reuses the cached maps.
 //
 // The original series sweep --threads 1/2/4/8 via the ExecContext; the
 // engine-level ORDER BY / join COUNT series run at one thread. All
@@ -352,6 +357,48 @@ void BM_Query_JoinCountWhere(benchmark::State& state) {
   state.counters["rows"] = static_cast<double>(pair.s->rows());
 }
 
+// The result build of SELECT V, P FROM R WHERE K IN (...): `selected`
+// scattered rows projected onto two 1000-value columns. Cold: fresh
+// copies of the columns per iteration (built untimed), so the timed call
+// builds both row → vid maps; warm: the maps exist.
+void BM_Query_PointProject(benchmark::State& state) {
+  const uint64_t selected = static_cast<uint64_t>(state.range(0));
+  const bool warm = state.range(1) != 0;
+  auto r = bench::CachedR(kDistinct);
+  Rng rng(static_cast<uint64_t>(selected));
+  std::vector<uint64_t> positions = rng.Permutation(r->rows());
+  positions.resize(selected);
+  std::sort(positions.begin(), positions.end());
+  const WahBitmap selection = WahBitmap::FromPositions(positions, r->rows());
+  const std::vector<std::string> columns{kPayloadColumn, kDependentColumn};
+  auto fresh = [&] {
+    std::vector<std::shared_ptr<const Column>> cols;
+    for (size_t i = 0; i < r->num_columns(); ++i) {
+      cols.push_back(r->column(i)->WithEncoding(ColumnEncoding::kWahBitmap));
+    }
+    return Table::Make(r->name(), r->schema(), std::move(cols), r->rows())
+        .ValueOrDie();
+  };
+  std::shared_ptr<const Table> table = fresh();
+  ExecContext ctx(1);
+  bench::RunMeta meta(state, ctx.num_threads());
+  uint64_t out_rows = 0;
+  for (auto _ : state) {
+    if (!warm) {
+      state.PauseTiming();
+      table = fresh();
+      state.ResumeTiming();
+    }
+    auto out = QueryEngine::ProjectSelection(*table, columns, selection,
+                                             nullptr, "point", &ctx);
+    CODS_CHECK(out.ok()) << out.status().ToString();
+    out_rows = out.ValueOrDie()->rows();
+    benchmark::DoNotOptimize(out);
+  }
+  state.counters["rows"] = static_cast<double>(r->rows());
+  state.counters["selected"] = static_cast<double>(out_rows);
+}
+
 #define CODS_QUERY_BENCH(fn) \
   BENCHMARK(fn)->Unit(benchmark::kMillisecond)->MinTime(0.1)
 
@@ -410,6 +457,14 @@ CODS_QUERY_BENCH(BM_Query_OrderByWhereLimit)
 // Count-only join: dimension-side WHERE, then both sides.
 CODS_QUERY_BENCH(BM_Query_JoinCountWhere)
     ->ArgName("fact_side")->Arg(0)->Arg(1);
+// Point projection: 10 / 30 selected rows, cold map build / warm maps.
+CODS_QUERY_BENCH(BM_Query_PointProject)
+    ->Unit(benchmark::kMicrosecond)
+    ->ArgNames({"selected", "warm"})
+    ->Args({10, 0})
+    ->Args({10, 1})
+    ->Args({30, 0})
+    ->Args({30, 1});
 
 }  // namespace
 }  // namespace cods

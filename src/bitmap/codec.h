@@ -72,6 +72,9 @@ struct CodecStats {
   std::atomic<uint64_t> array_built{0};
   std::atomic<uint64_t> wah_built{0};
   std::atomic<uint64_t> bitset_built{0};
+  // Column::RowVidMap caches: maps built, and bytes held by live ones.
+  std::atomic<uint64_t> row_vid_maps_built{0};
+  std::atomic<uint64_t> row_vid_map_bytes{0};
 };
 CodecStats& GlobalCodecStats();
 
@@ -235,14 +238,17 @@ uint64_t CodecAndCountWah(const ValueBitmap& a, const WahBitmap& selection);
 
 /// k-way union over value bitmaps into canonical WAH (EvalLeafBitmap:
 /// the per-predicate OR over qualifying values). All-WAH operand sets
-/// take the single-pass heap merge; any array/bitset operand switches to
-/// a dense word accumulator (scatter for arrays, word-OR for bitsets,
-/// run-deposit for WAH) re-encoded canonically, so the result is
-/// bit-identical either way.
+/// take the single-pass heap merge; all-array sets with few positions
+/// in total (`K IN (a, b, c)` on a key column) merge their position
+/// lists in O(total ones · log) and append the runs; any other mix
+/// switches to a dense word accumulator (scatter for arrays, word-OR for
+/// bitsets, run-deposit for WAH) re-encoded canonically, so the result
+/// is bit-identical every way.
 WahBitmap CodecOrManyWah(const std::vector<const ValueBitmap*>& operands,
                          uint64_t size);
 
-/// Count-only k-way union (the ValidateInvariants coverage check).
+/// Count-only k-way union (the ValidateInvariants coverage check), on
+/// the same three paths.
 uint64_t CodecOrManyCount(const std::vector<const ValueBitmap*>& operands,
                           uint64_t size);
 
@@ -253,17 +259,6 @@ uint64_t CodecOrManyCount(const std::vector<const ValueBitmap*>& operands,
 /// WAH.
 ValueBitmap CodecFilter(const WahPositionFilter& filter,
                         const ValueBitmap& vb);
-
-/// The selection-driven twin of CodecFilter: the indices j, increasing,
-/// with vb[positions[j]] set. It walks the positions and probes the
-/// value — O(1) per position for a bitset, galloping for an array, one
-/// run walk for WAH — so under a sparse selection the cost follows the
-/// selection, not the value's popcount, and no domain-sized
-/// WahPositionFilter is needed. `positions` must be strictly
-/// increasing and < vb.size(); FromPositions(result, positions.size())
-/// equals CodecFilter through a filter over the same positions.
-std::vector<uint32_t> CodecProbePositions(
-    const ValueBitmap& vb, const std::vector<uint32_t>& positions);
 
 /// A selection or value bitmap expanded once into raw words, for callers
 /// that probe it with many value bitmaps: the count-only join's

@@ -1,5 +1,6 @@
 #include "exec/parallel_build.h"
 
+#include <algorithm>
 #include <atomic>
 
 #include "bitmap/codec.h"
@@ -95,10 +96,37 @@ Result<std::shared_ptr<const Column>> FilterColumnBitmaps(
                                std::move(filtered), filter.num_positions()));
 }
 
-bool ProbeProjectionPays(uint64_t candidates, uint64_t selected,
-                         uint64_t rows) {
-  return ChooseBitmapRep(selected, rows) == BitmapRep::kArray &&
-         candidates * selected <= rows / 8;
+std::shared_ptr<const Column> GatherPresentValues(const ExecContext& ctx,
+                                                  const Column& column,
+                                                  std::vector<Vid> vids) {
+  // The present vids, increasing: a dense mark table when the
+  // dictionary is no larger than the gather, a sort otherwise, so the
+  // cost stays O(vids · log vids) either way.
+  std::vector<Vid> present;
+  if (column.distinct_count() <= vids.size()) {
+    std::vector<uint8_t> seen(column.distinct_count(), 0);
+    for (Vid v : vids) seen[v] = 1;
+    for (Vid v = 0; v < seen.size(); ++v) {
+      if (seen[v] != 0) present.push_back(v);
+    }
+  } else {
+    present = vids;
+    std::sort(present.begin(), present.end());
+    present.erase(std::unique(present.begin(), present.end()), present.end());
+  }
+  if (present.size() == column.distinct_count()) {
+    return Column::FromVids(column.type(), column.dict(), vids, &ctx);
+  }
+  Dictionary dict;
+  for (Vid v : present) dict.GetOrInsert(column.dict().value(v));
+  // Source entries are pairwise distinct (NaNs included: each fails to
+  // hash-match and gets its own vid again), so vids stay aligned.
+  CODS_CHECK(dict.size() == present.size());
+  for (Vid& v : vids) {
+    v = static_cast<Vid>(
+        std::lower_bound(present.begin(), present.end(), v) - present.begin());
+  }
+  return Column::FromVids(column.type(), std::move(dict), vids, &ctx);
 }
 
 Result<std::shared_ptr<const Column>> ProjectPresentValues(
@@ -108,42 +136,31 @@ Result<std::shared_ptr<const Column>> ProjectPresentValues(
     return Status::InvalidArgument("SELECT requires WAH-encoded columns");
   }
   const uint64_t rows = selection.CountOnes();
-  CODS_CHECK(rows == 0 || filter != nullptr ||
-             selection.rep() == BitmapRep::kArray)
-      << "selection-driven projection needs an array selection";
+  if (filter == nullptr) {
+    const PackedVids& map = column.RowVidMap();
+    std::vector<Vid> vids;
+    vids.reserve(rows);
+    selection.ForEachSetBit([&](uint64_t pos) { vids.push_back(map[pos]); });
+    return GatherPresentValues(ctx, column, std::move(vids));
+  }
   const uint64_t n =
       candidates != nullptr ? candidates->size() : column.distinct_count();
   auto vid_at = [&](uint64_t i) {
     return candidates != nullptr ? (*candidates)[i] : static_cast<Vid>(i);
   };
-  // Probes keep bare position lists until the present values are
-  // known, so an absent value allocates nothing.
   const uint64_t tasks = rows == 0 ? 0 : n;
-  std::vector<std::vector<uint32_t>> hits(filter == nullptr ? tasks : 0);
-  std::vector<ValueBitmap> filtered(filter != nullptr ? tasks : 0);
+  std::vector<ValueBitmap> filtered(tasks);
   CODS_RETURN_NOT_OK(ParallelFor(ctx, 0, tasks, 16, [&](uint64_t i) {
-    const ValueBitmap& vb = column.bitmap(vid_at(i));
-    if (filter != nullptr) {
-      filtered[i] = CodecFilter(*filter, vb);
-    } else {
-      hits[i] = CodecProbePositions(vb, selection.array_positions());
-    }
+    filtered[i] = CodecFilter(*filter, column.bitmap(vid_at(i)));
     return Status::OK();
   }));
   Dictionary dict;
   std::vector<ValueBitmap> present;
   for (uint64_t i = 0; i < tasks; ++i) {
-    if (filter != nullptr ? filtered[i].IsAllZeros() : hits[i].empty()) {
-      continue;
-    }
+    if (filtered[i].IsAllZeros()) continue;
     dict.GetOrInsert(column.dict().value(vid_at(i)));
-    present.push_back(filter != nullptr
-                          ? std::move(filtered[i])
-                          : ValueBitmap::FromPositions(std::move(hits[i]),
-                                                       rows));
+    present.push_back(std::move(filtered[i]));
   }
-  // Source entries are pairwise distinct (NaNs included: each fails to
-  // hash-match and gets its own vid again), so vids stay aligned.
   CODS_CHECK(dict.size() == present.size());
   return std::shared_ptr<const Column>(Column::FromValueBitmaps(
       column.type(), std::move(dict), std::move(present), rows));

@@ -16,7 +16,8 @@
 // SELECT results. The latter keeps only the values the selection hits,
 // so a point SELECT over a high-cardinality column builds a few bitmaps
 // instead of one per dictionary value, and under a sparse selection it
-// probes the selected positions instead of filtering each value's rows.
+// gathers the selected rows' vids from the column's row → vid map
+// instead of filtering each value's rows.
 
 #ifndef CODS_EXEC_PARALLEL_BUILD_H_
 #define CODS_EXEC_PARALLEL_BUILD_H_
@@ -54,28 +55,28 @@ Result<std::shared_ptr<const Column>> FilterColumnBitmaps(
     const ExecContext& ctx, const Column& column,
     const WahPositionFilter& filter, const std::string& op_name);
 
-/// The size rule between the two ways ProjectPresentValues can run:
-/// probing `candidates` values at `selected` positions of an array
-/// selection over `rows` rows pays when candidates × selected ≤ rows/8.
-/// Probes that few mean the values average at least 8× the selection,
-/// where a probe gallops; otherwise one pass over the values' rows
-/// (a position filter, or a decode) is cheaper.
-bool ProbeProjectionPays(uint64_t candidates, uint64_t selected,
-                         uint64_t rows);
+/// The result column whose row i holds `vids[i]` (vids of `column`). Its
+/// dictionary keeps only the values present, in source-vid order, so the
+/// result is a pure function of (column, vids) — bit-identical at every
+/// thread count. O(vids · log vids); the source dictionary is never
+/// scanned.
+std::shared_ptr<const Column> GatherPresentValues(const ExecContext& ctx,
+                                                  const Column& column,
+                                                  std::vector<Vid> vids);
 
-/// The SELECT-result projection of `column` onto the selected rows,
-/// held in `selection` as a value bitmap. With a null `filter` the
-/// projection is selection-driven: `selection` must be an array, and
-/// every candidate is probed at the selected positions only
-/// (CodecProbePositions), so an absent value costs no container and no
-/// domain-sized filter exists. With a `filter` (indexing the same
-/// positions) every candidate is shrunk through it instead, for a
-/// selection too dense to drive the probes (ProbeProjectionPays). The
-/// result keeps only the values present, in source-vid order — a pure
-/// function of (column, selection), bit-identical at every thread
-/// count. `candidates` (sorted, or null for every vid) restricts the
-/// work when the caller knows each selected row holds one of those
-/// vids. SELECT results are never catalog tables; catalog outputs use
+/// The SELECT-result projection of `column` onto the rows `selection`
+/// holds, keeping only the values present, in source-vid order. It runs
+/// one of two ways, and both yield the same column:
+///   * with a null `filter` it gathers: each selected row reads its vid
+///     from the column's cached row → vid map (Column::RowVidMap), and
+///     GatherPresentValues builds the result — O(selected rows), no
+///     per-value work and no domain-sized filter. Callers gather under
+///     array selections (at most rows/64 rows);
+///   * with a `filter` (indexing the same positions) it shrinks each
+///     value bitmap through the filter in the compressed domain;
+///     `candidates` (sorted, or null for every vid) restricts that work
+///     when the caller knows each selected row holds one of those vids.
+/// SELECT results are never catalog tables; catalog outputs use
 /// FilterColumnBitmaps.
 Result<std::shared_ptr<const Column>> ProjectPresentValues(
     const ExecContext& ctx, const Column& column, const ValueBitmap& selection,

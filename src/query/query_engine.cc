@@ -337,56 +337,26 @@ std::optional<std::vector<Vid>> ConstrainedVids(const Table& table,
   return best;
 }
 
-// How one projected column reaches its selected rows: the vids it must
-// visit (a root-level leaf's MatchingVids, or null for all of them),
-// and whether probing those vids at the selected positions pays
-// (ProbeProjectionPays) over a pass across the column's rows.
-struct ColumnPlan {
-  std::optional<std::vector<Vid>> candidates;
-  bool probe = false;
-
-  const std::vector<Vid>* Candidates() const {
-    return candidates ? &*candidates : nullptr;
-  }
-};
-
-std::vector<ColumnPlan> PlanProjection(const Table& table,
-                                       const std::vector<size_t>& indices,
-                                       const ExprPtr& root,
-                                       uint64_t selected) {
-  std::vector<ColumnPlan> plans(indices.size());
-  for (size_t i = 0; i < indices.size(); ++i) {
-    const Column& col = *table.column(indices[i]);
-    if (root != nullptr) {
-      plans[i].candidates = ConstrainedVids(table, indices[i], *root);
-    }
-    plans[i].probe =
-        col.encoding() == ColumnEncoding::kWahBitmap &&
-        ProbeProjectionPays(plans[i].candidates ? plans[i].candidates->size()
-                                                : col.distinct_count(),
-                            selected, table.rows());
-  }
-  return plans;
-}
-
 // The result build of a SELECT: each projected column keeps only the
 // values `selection` hits (ProjectPresentValues), re-based onto the
-// selected rows. Columns the probes pay for probe the selected rows;
-// the others share one position filter, built only if one needs it.
+// selected rows. An array selection gathers through each column's row →
+// vid map; any other selection shares one position filter, and a column
+// a root-level leaf constrains (ConstrainedVids) filters only that
+// leaf's values.
 Result<std::shared_ptr<const Table>> BuildSelectResult(
     const Table& table, const std::vector<size_t>& indices, Schema schema,
     const WahBitmap& selection, const ExprPtr& where,
     const std::string& out_name, const ExecContext& exec) {
   const ValueBitmap selected = ValueBitmap::FromWah(selection);
-  const std::vector<ColumnPlan> plans =
-      PlanProjection(table, indices,
-                     where != nullptr ? NormalizeExpr(where) : nullptr,
-                     selected.CountOnes());
   std::optional<WahPositionFilter> filter;
-  for (const ColumnPlan& plan : plans) {
-    if (!plan.probe && !selected.IsAllZeros()) {
-      filter.emplace(selection.SetPositions(), table.rows());
-      break;
+  std::vector<std::optional<std::vector<Vid>>> candidates(indices.size());
+  if (selected.rep() != BitmapRep::kArray && !selected.IsAllZeros()) {
+    filter.emplace(selection.SetPositions(), table.rows());
+    if (where != nullptr) {
+      const ExprPtr root = NormalizeExpr(where);
+      for (size_t i = 0; i < indices.size(); ++i) {
+        candidates[i] = ConstrainedVids(table, indices[i], *root);
+      }
     }
   }
   std::vector<std::shared_ptr<const Column>> cols(indices.size());
@@ -396,8 +366,8 @@ Result<std::shared_ptr<const Table>> BuildSelectResult(
         CODS_ASSIGN_OR_RETURN(
             cols[i], ProjectPresentValues(
                          exec, *table.column(indices[i]), selected,
-                         plans[i].probe || !filter ? nullptr : &*filter,
-                         plans[i].Candidates()));
+                         filter ? &*filter : nullptr,
+                         candidates[i] ? &*candidates[i] : nullptr));
         return Status::OK();
       }));
   return Table::Make(out_name, std::move(schema), std::move(cols),
@@ -584,31 +554,10 @@ PickedRows WalkRanks(const Column& sort_col, bool desc, uint64_t keep,
   return out;
 }
 
-// The result column holding `vids[i]` (vids of `src`) at row i; its
-// dictionary keeps only the values present, in source-vid order.
-std::shared_ptr<const Column> GatherColumn(const ExecContext& exec,
-                                           const Column& src,
-                                           std::vector<Vid> vids) {
-  std::vector<Vid> remap(src.distinct_count(), kNoVid);
-  for (Vid v : vids) remap[v] = 0;
-  if (std::find(remap.begin(), remap.end(), kNoVid) == remap.end()) {
-    return Column::FromVids(src.type(), src.dict(), vids, &exec);
-  }
-  Dictionary dict;
-  for (Vid v = 0; v < remap.size(); ++v) {
-    if (remap[v] == kNoVid) continue;
-    remap[v] = static_cast<Vid>(dict.size());
-    dict.GetOrInsert(src.dict().value(v));
-  }
-  for (Vid& v : vids) v = remap[v];
-  return Column::FromVids(src.type(), std::move(dict), vids, &exec);
-}
-
 // SELECT ... [WHERE] [ORDER BY] [LIMIT] at O(selected rows + visited
-// values): the walk picks at most `limit` rows, only those rows are
-// projected (ProjectPresentValues probing the picked set), and the
-// small projection is permuted into output order. A column whose
-// values are too many for probes to pay gathers its decoded vids.
+// values): the walk picks at most `limit` rows in output order, and each
+// projected column gathers just those rows — the sort column from the
+// vids the walk visited, every other column from its row → vid map.
 Result<std::shared_ptr<const Table>> OrderedSelect(
     const Table& table, const std::vector<std::string>& columns,
     const ExprPtr& where, const std::string& order_by, bool desc,
@@ -656,58 +605,22 @@ Result<std::shared_ptr<const Table>> OrderedSelect(
     std::iota(picked.positions.begin(), picked.positions.end(), uint64_t{0});
   }
 
-  // Columns the probes pay for project just the picked rows, in
-  // position order, then permute: out_rank[i] is output row i's index
-  // among the sorted positions. The others decode and gather; the sort
-  // column's vids are known from the walk.
-  const std::vector<ColumnPlan> plans =
-      PlanProjection(table, indices, root, keep);
-  ValueBitmap picked_rows;
-  std::vector<uint32_t> out_rank;
-  if (std::any_of(plans.begin(), plans.end(),
-                  [](const ColumnPlan& p) { return p.probe; })) {
-    std::vector<uint32_t> by_position(keep);
-    std::iota(by_position.begin(), by_position.end(), uint32_t{0});
-    std::sort(by_position.begin(), by_position.end(),
-              [&](uint32_t a, uint32_t b) {
-                return picked.positions[a] < picked.positions[b];
-              });
-    std::vector<uint32_t> sorted(keep);
-    out_rank.resize(keep);
-    for (uint32_t j = 0; j < keep; ++j) {
-      sorted[j] = static_cast<uint32_t>(picked.positions[by_position[j]]);
-      out_rank[by_position[j]] = j;
-    }
-    picked_rows = ValueBitmap::FromPositions(std::move(sorted), rows);
-  }
   std::vector<std::shared_ptr<const Column>> cols(indices.size());
-  // Column tasks nest the per-vid tasks inside ProjectPresentValues.
   CODS_RETURN_NOT_OK(
       ParallelFor(exec, 0, indices.size(), 1, [&](uint64_t i) -> Status {
         const Column& src = *table.column(indices[i]);
         if (indices[i] == sort_idx) {
-          cols[i] = GatherColumn(exec, src, picked.sort_vids);
+          cols[i] = GatherPresentValues(exec, src, picked.sort_vids);
           return Status::OK();
         }
         std::vector<Vid> vids(keep);
-        if (plans[i].probe) {
-          CODS_ASSIGN_OR_RETURN(
-              auto projected,
-              ProjectPresentValues(exec, src, picked_rows, nullptr,
-                                   plans[i].Candidates()));
-          const std::vector<Vid> in_position = projected->DecodeVids(&exec);
+        if (keep > 0) {
+          const PackedVids& map = src.RowVidMap();
           for (uint64_t j = 0; j < keep; ++j) {
-            vids[j] = in_position[out_rank[j]];
+            vids[j] = map[picked.positions[j]];
           }
-          cols[i] = GatherColumn(exec, *projected, std::move(vids));
-        } else {
-          const std::vector<Vid> all =
-              keep > 0 ? src.DecodeVids(&exec) : std::vector<Vid>();
-          for (uint64_t j = 0; j < keep; ++j) {
-            vids[j] = all[picked.positions[j]];
-          }
-          cols[i] = GatherColumn(exec, src, std::move(vids));
         }
+        cols[i] = GatherPresentValues(exec, src, std::move(vids));
         return Status::OK();
       }));
   return Table::Make(out_name, std::move(schema), std::move(cols), keep);

@@ -213,14 +213,15 @@ class QueryEngine {
 
   /// The result-build half of SelectRows, for a caller that already
   /// evaluated `where` to `selection` (the server's batch groups share
-  /// one eval across statements). `where` may be null; it only narrows
-  /// the work: a projected column that a leaf at the root of the WHERE
-  /// (or directly under a root AND) constrains visits just that leaf's
-  /// MatchingVids. A sparse selection probes each visited value at the
-  /// selected positions when that pays (ProbeProjectionPays); otherwise
-  /// one position filter serves the columns that need it. Each result
-  /// column's dictionary holds exactly the values present in the
-  /// selected rows, in source-vid order.
+  /// one eval across statements). An array selection (at most rows/64
+  /// rows) gathers each column's selected rows through its cached row →
+  /// vid map (Column::RowVidMap), O(selected rows); any other selection
+  /// shares one position filter across the columns. `where` may be null;
+  /// it only narrows the filter's work: a projected column that a leaf at
+  /// the root of the WHERE (or directly under a root AND) constrains
+  /// visits just that leaf's MatchingVids. Each result column's
+  /// dictionary holds exactly the values present in the selected rows,
+  /// in source-vid order.
   static Result<std::shared_ptr<const Table>> ProjectSelection(
       const Table& table, const std::vector<std::string>& columns,
       const WahBitmap& selection, const ExprPtr& where,

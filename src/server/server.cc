@@ -34,6 +34,37 @@ Status SetNonBlocking(int fd) {
 
 // ---- Connection / session state -----------------------------------------
 
+// Bytes queued for a socket. A partial send() advances an offset instead
+// of erasing the sent prefix, and the buffer compacts only once the
+// offset passes half of it, so draining n bytes under backpressure moves
+// O(n) bytes in total rather than O(n²).
+class OutBuf {
+ public:
+  bool empty() const { return sent_ == bytes_.size(); }
+  const char* data() const { return bytes_.data() + sent_; }
+  size_t size() const { return bytes_.size() - sent_; }
+
+  OutBuf& operator+=(const std::string& more) {
+    bytes_ += more;
+    return *this;
+  }
+
+  void Consume(size_t n) {
+    sent_ += n;
+    if (sent_ == bytes_.size()) {
+      bytes_.clear();
+      sent_ = 0;
+    } else if (sent_ > bytes_.size() / 2) {
+      bytes_.erase(0, sent_);
+      sent_ = 0;
+    }
+  }
+
+ private:
+  std::string bytes_;
+  size_t sent_ = 0;
+};
+
 struct Server::Conn {
   int fd = -1;
   uint64_t session_id = 0;
@@ -43,7 +74,7 @@ struct Server::Conn {
 
   // Write state, shared with workers.
   std::mutex mu;
-  std::string wbuf;
+  OutBuf wbuf;
   bool close_after_flush = false;
   bool closed = false;
   size_t in_flight = 0;  // admitted statements awaiting a response
@@ -350,7 +381,7 @@ void Server::FlushConn(const std::shared_ptr<Conn>& conn) {
       ssize_t n = send(conn->fd, conn->wbuf.data(), conn->wbuf.size(),
                        MSG_NOSIGNAL);
       if (n > 0) {
-        conn->wbuf.erase(0, static_cast<size_t>(n));
+        conn->wbuf.Consume(static_cast<size_t>(n));
         continue;
       }
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;

@@ -51,6 +51,37 @@ std::shared_ptr<Column> Column::FromValueBitmaps(
   return col;
 }
 
+Column::~Column() {
+  if (row_vids_.SizeBytes() > 0) {
+    GlobalCodecStats().row_vid_map_bytes.fetch_sub(row_vids_.SizeBytes(),
+                                                   std::memory_order_relaxed);
+  }
+}
+
+const PackedVids& Column::RowVidMap() const {
+  std::call_once(row_vids_once_, [this] {
+    PackedVids map(rows_, PackedVids::WidthFor(dict_.size()));
+    if (encoding_ == ColumnEncoding::kRle) {
+      uint64_t row = 0;
+      for (const RleVector::Run& run : rle_.runs()) {
+        for (uint64_t i = 0; i < run.length; ++i) map.Set(row++, run.value);
+      }
+    } else {
+      // Value-major scatter into the packed words, which stay cache
+      // resident far longer than a plain vid array would.
+      for (Vid vid = 0; vid < bitmaps_.size(); ++vid) {
+        bitmaps_[vid].ForEachSetBit([&](uint64_t pos) { map.Set(pos, vid); });
+      }
+    }
+    row_vids_ = std::move(map);
+    CodecStats& stats = GlobalCodecStats();
+    stats.row_vid_maps_built.fetch_add(1, std::memory_order_relaxed);
+    stats.row_vid_map_bytes.fetch_add(row_vids_.SizeBytes(),
+                                      std::memory_order_relaxed);
+  });
+  return row_vids_;
+}
+
 const ValueBitmap& Column::bitmap(Vid vid) const {
   CODS_CHECK(encoding_ == ColumnEncoding::kWahBitmap);
   CODS_DCHECK(vid < bitmaps_.size());
@@ -92,9 +123,9 @@ uint64_t Column::ValueCount(Vid vid) const {
 
 std::shared_ptr<Column> Column::WithEncoding(ColumnEncoding encoding) const {
   if (encoding == encoding_) {
-    // Copy: encodings match, columns are immutable, so share structure.
-    auto col = std::shared_ptr<Column>(new Column(*this));
-    return col;
+    return encoding_ == ColumnEncoding::kRle
+               ? FromRle(type_, dict_, rle_)
+               : FromValueBitmaps(type_, dict_, bitmaps_, rows_);
   }
   std::vector<Vid> vids = DecodeVids();
   if (encoding == ColumnEncoding::kRle) {

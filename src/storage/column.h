@@ -9,11 +9,18 @@
 // Columns are immutable once built and shared between tables via
 // shared_ptr: reusing an unchanged column during evolution (Property 1 of
 // §2.4) is a pointer copy, exactly the effect the paper exploits.
+//
+// The bitmaps answer "which rows hold v" but not "what does row r hold".
+// RowVidMap() adds that inverse as a cache: a bit-packed row → vid map
+// built on first use and freed with the column. It is not part of the
+// stored image (SizeBytes, serde), and since snapshots share columns by
+// pointer it survives every commit that leaves the column alone.
 
 #ifndef CODS_STORAGE_COLUMN_H_
 #define CODS_STORAGE_COLUMN_H_
 
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "bitmap/codec.h"
@@ -21,6 +28,7 @@
 #include "bitmap/wah_bitmap.h"
 #include "common/result.h"
 #include "storage/dictionary.h"
+#include "storage/packed_vids.h"
 #include "storage/value.h"
 
 namespace cods {
@@ -76,6 +84,10 @@ class Column {
       DataType type, Dictionary dict, std::vector<ValueBitmap> bitmaps,
       uint64_t rows);
 
+  ~Column();
+  Column(const Column&) = delete;
+  Column& operator=(const Column&) = delete;
+
   DataType type() const { return type_; }
   ColumnEncoding encoding() const { return encoding_; }
   uint64_t rows() const { return rows_; }
@@ -96,6 +108,16 @@ class Column {
   /// value bitmaps (their set positions are disjoint).
   std::vector<Vid> DecodeVids(const ExecContext* ctx = nullptr) const;
 
+  /// The row → vid map (DecodeVids' content), packed at
+  /// PackedVids::WidthFor(distinct_count()) bits per row: rows × width / 8
+  /// bytes. Built once, on first use, by one serial decode straight into
+  /// the packed words — O(rows + compressed words); concurrent first
+  /// callers wait for that one build, and every later call is O(1). The
+  /// content is a pure function of the column, so which caller builds it
+  /// never shows. Counted in GlobalCodecStats (row_vid_maps_built,
+  /// row_vid_map_bytes), never in SizeBytes.
+  const PackedVids& RowVidMap() const;
+
   /// Value at `row` (point lookup; O(compressed words) for bitmap
   /// encoding — use DecodeVids for scans).
   Value GetValue(uint64_t row) const;
@@ -103,7 +125,7 @@ class Column {
   /// Number of rows holding `vid` (popcount on the compressed bitmap).
   uint64_t ValueCount(Vid vid) const;
 
-  /// Re-encodes to the requested encoding (returns this when already so).
+  /// Re-encodes to the requested encoding (a copy when already so).
   std::shared_ptr<Column> WithEncoding(ColumnEncoding encoding) const;
 
   /// Compressed footprint of the column data (bitmaps or RLE runs) plus
@@ -125,6 +147,10 @@ class Column {
   std::vector<ValueBitmap> bitmaps_;  // kWahBitmap: indexed by vid
   RleVector rle_;                   // kRle
   uint64_t rows_ = 0;
+
+  // RowVidMap's cache: written once under the flag, then read-only.
+  mutable std::once_flag row_vids_once_;
+  mutable PackedVids row_vids_;
 };
 
 }  // namespace cods

@@ -87,6 +87,10 @@ std::string FormatTableStats(const Table& table) {
       << " wah=" << stats.wah_built.load(std::memory_order_relaxed)
       << " bitset=" << stats.bitset_built.load(std::memory_order_relaxed)
       << "\n";
+  out << "row->vid maps: built="
+      << stats.row_vid_maps_built.load(std::memory_order_relaxed)
+      << ", retained bytes="
+      << stats.row_vid_map_bytes.load(std::memory_order_relaxed) << "\n";
   return out.str();
 }
 

@@ -197,22 +197,52 @@ TEST(CodecKernels, FilterMatchesCompressedOracle) {
   }
 }
 
-TEST(CodecKernels, ProbePositionsMatchesFilter) {
-  // The selection-driven projection equals the value-driven filter over
-  // the same positions, for every density class of the value and for
-  // selections from a handful of positions (galloping into large
-  // values) to more than the value holds (galloping the other way).
-  for (uint64_t selected : {1u, 7u, 30u, 250u, 1500u}) {
-    const std::vector<uint32_t> positions =
-        SamplePositions(kSweepSize, selected, 300 + selected);
-    const std::vector<uint64_t> wide(positions.begin(), positions.end());
-    WahPositionFilter filter(wide, kSweepSize);
-    for (const DensityClass& c : kClasses) {
-      ValueBitmap vb = MakeRandom(kSweepSize, c.ones, 91 + c.ones);
-      ValueBitmap probed = ValueBitmap::FromPositions(
-          CodecProbePositions(vb, positions), selected);
-      EXPECT_EQ(probed, CodecFilter(filter, vb))
-          << "selected " << selected << " " << vb.ToString();
+TEST(CodecKernels, AllArrayOrManyMatchesDensePath) {
+  // Unions of array operands merge their position lists when that beats
+  // the dense accumulator (few positions over a long domain) and take
+  // the accumulator otherwise; both must equal the all-WAH heap merge
+  // and a plain dense union, code word for code word. Operands overlap,
+  // and empty operands ride along; domains are not multiples of 63 or 64.
+  for (uint64_t size : {4096u, 200'003u}) {
+    for (uint64_t k : {2u, 3u, 8u}) {
+      for (uint64_t ones : {1u, 10u, 60u, 3000u}) {
+        if (ones > size / 64) continue;
+        std::vector<ValueBitmap> arrays;
+        std::vector<WahBitmap> wahs;
+        std::vector<uint64_t> dense((size + 63) / 64, 0);
+        for (uint64_t i = 0; i < k; ++i) {
+          // Every other operand reuses its predecessor's first half.
+          std::vector<uint32_t> pos = SamplePositions(size, ones, 7 * i + ones);
+          if (i % 2 == 1) {
+            const std::vector<uint32_t>& prev =
+                arrays.back().array_positions();
+            pos.insert(pos.end(), prev.begin(),
+                       prev.begin() + static_cast<long>(prev.size() / 2));
+            std::sort(pos.begin(), pos.end());
+            pos.erase(std::unique(pos.begin(), pos.end()), pos.end());
+            if (pos.size() > size / 64) pos.resize(size / 64);
+          }
+          for (uint32_t p : pos) dense[p >> 6] |= uint64_t{1} << (p & 63);
+          wahs.push_back(WahFromU32(pos, size));
+          arrays.push_back(ValueBitmap::FromPositions(std::move(pos), size));
+          ASSERT_EQ(arrays.back().rep(), BitmapRep::kArray);
+        }
+        arrays.push_back(MakeRandom(size, 0, 1));  // empty: a WAH fill
+        std::vector<const ValueBitmap*> operands;
+        for (const ValueBitmap& vb : arrays) operands.push_back(&vb);
+        std::vector<const WahBitmap*> wah_ptrs;
+        for (const WahBitmap& w : wahs) wah_ptrs.push_back(&w);
+        const WahBitmap oracle = WahOrMany(wah_ptrs, size);
+        const std::string label = "size " + std::to_string(size) + " k " +
+                                  std::to_string(k) + " ones " +
+                                  std::to_string(ones);
+        EXPECT_EQ(CodecOrManyWah(operands, size), oracle) << label;
+        EXPECT_EQ(CodecOrManyWah(operands, size),
+                  ValueBitmap::FromDenseWords(dense, size).ToWah())
+            << label;
+        EXPECT_EQ(CodecOrManyCount(operands, size), oracle.CountOnes())
+            << label;
+      }
     }
   }
 }

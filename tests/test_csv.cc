@@ -115,6 +115,8 @@ TEST(Printer, StatsShowEncodingAndDistincts) {
   EXPECT_NE(text.find("reps: array="), std::string::npos);
   EXPECT_NE(text.find("bitset-equivalent bytes="), std::string::npos);
   EXPECT_NE(text.find("popcount cache hits="), std::string::npos);
+  EXPECT_NE(text.find("row->vid maps: built="), std::string::npos);
+  EXPECT_NE(text.find("retained bytes="), std::string::npos);
 }
 
 }  // namespace

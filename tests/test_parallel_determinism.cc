@@ -5,6 +5,7 @@
 // are exact, not just logical.
 
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -284,11 +285,11 @@ TEST(ParallelDeterminismTest, InConstrainedProjection) {
 }
 
 TEST(ParallelDeterminismTest, SparseSelectionDrivenProjection) {
-  // A selection sparse enough to be an array drives the projection
-  // (probe each value at the selected positions, no position filter);
-  // the compact result — and the ORDER BY ... LIMIT built from the
-  // same probes on its picked rows — must be code-word identical at
-  // every thread count.
+  // A selection sparse enough to be an array gathers the selected rows
+  // through each column's row → vid map (no position filter); the
+  // compact result — and the ORDER BY ... LIMIT gathered the same way
+  // from its picked rows — must be code-word identical at every thread
+  // count.
   auto r = TestTable();
   ExprPtr sparse = Expr::And(
       {Expr::Between(kKeyColumn, Value(static_cast<int64_t>(40)),
@@ -337,6 +338,54 @@ TEST(ParallelDeterminismTest, SparseSelectionDrivenProjection) {
                             ordered[q].ToString() + " @" +
                                 std::to_string(threads));
     }
+  }
+}
+
+TEST(ParallelDeterminismTest, RowVidMapFirstUseRace) {
+  // Eight threads project the same fresh table at once, so they race
+  // to build each column's row → vid map: exactly one build per column
+  // may happen, and every result — a sparse gather and a top-k — must
+  // be code-word identical to a serial run on an independent copy.
+  ExprPtr sparse = Expr::Between(kKeyColumn, Value(static_cast<int64_t>(10)),
+                                 Value(static_cast<int64_t>(14)));
+  const std::vector<std::string> columns{kDependentColumn, kPayloadColumn,
+                                         kKeyColumn};
+  ExecContext serial(1);
+  auto ref_table = TestTable();
+  auto ref = QueryEngine::SelectRows(*ref_table, columns, sparse, "sel",
+                                     &serial);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  ASSERT_LE((*ref)->rows() * 64, ref_table->rows());  // an array selection
+  auto ref_top = QueryEngine::SortRows(*ref_table, kPayloadColumn, true, 25,
+                                       "top", &serial);
+  ASSERT_TRUE(ref_top.ok()) << ref_top.status().ToString();
+
+  auto fresh = TestTable();
+  const uint64_t built = GlobalCodecStats().row_vid_maps_built.load();
+  constexpr int kRacers = 8;
+  std::vector<std::shared_ptr<const Table>> sels(kRacers), tops(kRacers);
+  std::vector<std::thread> racers;
+  for (int i = 0; i < kRacers; ++i) {
+    racers.emplace_back([&, i] {
+      ExecContext ctx(i % 2 == 0 ? 1 : 2);
+      auto sel = QueryEngine::SelectRows(*fresh, columns, sparse, "sel", &ctx);
+      auto top = QueryEngine::SortRows(*fresh, kPayloadColumn, true, 25,
+                                       "top", &ctx);
+      if (sel.ok()) sels[i] = sel.ValueOrDie();
+      if (top.ok()) tops[i] = top.ValueOrDie();
+    });
+  }
+  for (std::thread& t : racers) t.join();
+  // SELECT maps every column (it projects them all) once; the top-k
+  // reuses those maps.
+  EXPECT_EQ(GlobalCodecStats().row_vid_maps_built.load() - built,
+            fresh->num_columns());
+  for (int i = 0; i < kRacers; ++i) {
+    ASSERT_NE(sels[i], nullptr) << i;
+    ASSERT_NE(tops[i], nullptr) << i;
+    ExpectTablesIdentical(**ref, *sels[i], "raced select " + std::to_string(i));
+    ExpectTablesIdentical(**ref_top, *tops[i],
+                          "raced top-k " + std::to_string(i));
   }
 }
 

@@ -13,6 +13,7 @@
 #include "common/random.h"
 #include "concurrency/snapshot_catalog.h"
 #include "evolution/engine.h"
+#include "exec/parallel_build.h"
 #include "gtest/gtest.h"
 #include "plan/staged_catalog.h"
 #include "query/join.h"
@@ -1187,6 +1188,228 @@ TEST(QueryEngine, SnapshotQueriesMatchQuiescedCatalog) {
   ASSERT_NE(still.table, nullptr);
   EXPECT_EQ(live.table->Materialize(), still.table->Materialize());
   EXPECT_EQ(live.ToString(), still.ToString());
+}
+
+// ---- Projection: gather vs filter vs a decode-and-project oracle ----------
+
+// T(d, s, k) over 6400 rows (rows/64 = 100):
+//   d  double: 10% NaN (one dictionary entry per NaN row), -0.0 and 0.0
+//      (one entry, whichever comes first) and three other reals;
+//   s  string: 31 values, the empty string among them;
+//   k  int64: 900 dictionary values, the last 5 without rows.
+std::shared_ptr<const Table> ProjectionTable() {
+  constexpr uint64_t kRows = 6400;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double xs[] = {-0.0, 0.0, 1.5, -3.25, 7.0};
+  Rng rng(4242);
+  std::vector<Row> data;
+  for (uint64_t r = 0; r < kRows; ++r) {
+    const int64_t s = rng.Uniform(0, 30);
+    data.push_back({Value(rng.NextBool(0.1) ? nan : xs[rng.Uniform(0, 4)]),
+                    Value(s == 30 ? std::string() : "s" + std::to_string(s)),
+                    Value(int64_t{0})});
+  }
+  Schema schema({{"d", DataType::kDouble, false},
+                 {"s", DataType::kString, false},
+                 {"k", DataType::kInt64, false}},
+                {});
+  auto built = MakeTable("T", schema, data);
+  Dictionary keys;
+  for (int64_t v = 0; v < 900; ++v) keys.GetOrInsert(Value(v * 7));
+  std::vector<Vid> vids(kRows);
+  for (uint64_t r = 0; r < kRows; ++r) {
+    vids[r] = static_cast<Vid>(r < 895 ? r : rng.Uniform(0, 894));
+  }
+  std::vector<std::shared_ptr<const Column>> cols = {
+      built->column(0), built->column(1),
+      Column::FromVids(DataType::kInt64, std::move(keys), vids)};
+  return Table::Make("T", schema, std::move(cols), kRows).ValueOrDie();
+}
+
+// The oracle: decode the whole column, take the rows at `positions` (in
+// that order), and rebuild with a dictionary of the present values in
+// source-vid order.
+std::shared_ptr<const Column> DecodeProjectOracle(
+    const Column& src, const std::vector<uint64_t>& positions) {
+  const std::vector<Vid> all = src.DecodeVids();
+  std::vector<Vid> vids;
+  for (uint64_t p : positions) vids.push_back(all[p]);
+  std::set<Vid> present(vids.begin(), vids.end());
+  std::vector<Vid> remap(src.distinct_count(), kNoVid);
+  Dictionary dict;
+  for (Vid v : present) {
+    remap[v] = static_cast<Vid>(dict.size());
+    dict.GetOrInsert(src.dict().value(v));
+  }
+  for (Vid& v : vids) v = remap[v];
+  return Column::FromVids(src.type(), std::move(dict), vids);
+}
+
+// Code-word equality, with dictionary values compared by rendering so
+// NaN entries match and -0.0 differs from 0.0.
+void ExpectColumnsIdentical(const Column& got, const Column& want,
+                            const std::string& label) {
+  ASSERT_EQ(got.rows(), want.rows()) << label;
+  ASSERT_EQ(got.distinct_count(), want.distinct_count()) << label;
+  for (Vid v = 0; v < want.distinct_count(); ++v) {
+    EXPECT_EQ(got.dict().value(v).ToString(), want.dict().value(v).ToString())
+        << label << " vid " << v;
+    EXPECT_TRUE(got.bitmap(v) == want.bitmap(v)) << label << " vid " << v;
+  }
+}
+
+TEST(QueryEngine, ProjectionGatherAndFilterMatchDecodeOracle) {
+  auto t = ProjectionTable();
+  const uint64_t rows = t->rows();
+  Rng rng(77);
+  const std::vector<uint64_t> order = rng.Permutation(rows);
+  for (uint64_t n : {uint64_t{0}, uint64_t{1}, rows / 64, rows / 64 + 1,
+                     uint64_t{3000}}) {
+    std::vector<uint64_t> positions(order.begin(),
+                                    order.begin() + static_cast<long>(n));
+    std::sort(positions.begin(), positions.end());
+    const WahBitmap sel_wah = WahBitmap::FromPositions(positions, rows);
+    const ValueBitmap selection = ValueBitmap::FromWah(sel_wah);
+    const WahPositionFilter filter(positions, rows);
+    for (int threads : {1, 4}) {
+      ExecContext ctx(threads);
+      for (size_t c = 0; c < t->num_columns(); ++c) {
+        const Column& src = *t->column(c);
+        const std::string label = t->schema().column(c).name + " over " +
+                                  std::to_string(n) + " rows @" +
+                                  std::to_string(threads);
+        auto want = DecodeProjectOracle(src, positions);
+        auto gathered =
+            ProjectPresentValues(ctx, src, selection, nullptr, nullptr);
+        auto filtered =
+            ProjectPresentValues(ctx, src, selection, &filter, nullptr);
+        ASSERT_TRUE(gathered.ok() && filtered.ok()) << label;
+        ExpectColumnsIdentical(**gathered, *want, "gather " + label);
+        ExpectColumnsIdentical(**filtered, *want, "filter " + label);
+      }
+      // The engine picks gather up to rows/64 selected rows, the filter
+      // above; either way the result equals the oracle.
+      auto out = QueryEngine::ProjectSelection(*t, {"k", "d", "s"}, sel_wah,
+                                               nullptr, "out", &ctx);
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      for (size_t c = 0; c < 3; ++c) {
+        ExpectColumnsIdentical(
+            *(*out)->column(c),
+            *DecodeProjectOracle(*t->column((c + 2) % 3), positions),
+            "engine column " + std::to_string(c) + " over " +
+                std::to_string(n));
+      }
+    }
+  }
+}
+
+TEST(QueryEngine, ProjectionUnderInConstrainedCandidates) {
+  // K IN (...) bounds the filter's candidates to the IN's values; the
+  // gather ignores them. Few values stay under rows/64 (gather in the
+  // engine), many go over it (filter); absent and rowless values ride
+  // along in the IN list.
+  auto t = ProjectionTable();
+  const Column& k = *t->column(2);
+  const std::vector<Vid> all = k.DecodeVids();
+  for (int64_t count : {3, 40, 400}) {
+    std::vector<Value> in_list = {Value(int64_t{-1}), Value(int64_t{899 * 7})};
+    for (int64_t i = 0; i < count; ++i) in_list.push_back(Value(i * 14));
+    ExprPtr in = Expr::In("k", in_list);
+    const std::vector<Vid> candidates = MatchingVids(k, *in);
+    std::vector<uint64_t> positions;
+    for (uint64_t r = 0; r < all.size(); ++r) {
+      if (std::binary_search(candidates.begin(), candidates.end(), all[r])) {
+        positions.push_back(r);
+      }
+    }
+    const ValueBitmap selection = ValueBitmap::FromWah(
+        WahBitmap::FromPositions(positions, t->rows()));
+    const WahPositionFilter filter(positions, t->rows());
+    ExecContext ctx(2);
+    const std::string label = "IN of " + std::to_string(count);
+    auto want = DecodeProjectOracle(k, positions);
+    auto gathered = ProjectPresentValues(ctx, k, selection, nullptr, nullptr);
+    auto filtered =
+        ProjectPresentValues(ctx, k, selection, &filter, &candidates);
+    ASSERT_TRUE(gathered.ok() && filtered.ok()) << label;
+    ExpectColumnsIdentical(**gathered, *want, "gather " + label);
+    ExpectColumnsIdentical(**filtered, *want, "filter " + label);
+    auto out = QueryEngine::SelectRows(
+        *t, {"s", "k"},
+        Expr::And({in, Expr::Compare("s", CompareOp::kNe, Value("s3"))}),
+        "out", &ctx);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    std::vector<uint64_t> kept;
+    const Column& s = *t->column(1);
+    const std::vector<Vid> svids = s.DecodeVids();
+    for (uint64_t r : positions) {
+      if (!(s.dict().value(svids[r]) == Value("s3"))) kept.push_back(r);
+    }
+    ExpectColumnsIdentical(*(*out)->column(0), *DecodeProjectOracle(s, kept),
+                           "engine s " + label);
+    ExpectColumnsIdentical(*(*out)->column(1), *DecodeProjectOracle(k, kept),
+                           "engine k " + label);
+  }
+}
+
+TEST(QueryEngine, OrderByLimitGathersOracleColumnsWithTies) {
+  // ORDER BY ... LIMIT gathers every column from the picked rows in
+  // output order: d ties on its shared ±0 entry and across NaN entries,
+  // s ties within each string. Each result column must equal the
+  // oracle's rebuild over the oracle's picked rows, code word for code
+  // word.
+  auto t = ProjectionTable();
+  Catalog catalog;
+  CODS_CHECK_OK(catalog.AddTable(t));
+  QueryEngine engine(&catalog);
+  const std::vector<Row> decoded = t->Materialize();
+  struct Case {
+    std::string order;
+    bool desc;
+    int64_t limit;
+    ExprPtr where;
+  };
+  const std::vector<Case> cases = {
+      {"d", false, 50, nullptr},
+      {"d", true, 700, nullptr},
+      {"s", true, 101, Expr::Compare("k", CompareOp::kLt, Value(int64_t{70}))},
+      {"s", false, 7, Expr::In("s", {Value(""), Value("s4")})},
+      {"k", true, 1, Expr::Compare("d", CompareOp::kEq, Value(0.0))},
+      {"d", false, -1, Expr::Between("k", Value(int64_t{0}),
+                                     Value(int64_t{700}))},
+  };
+  for (const Case& c : cases) {
+    const size_t key = t->schema().ResolveColumnRef(c.order).ValueOrDie();
+    std::vector<uint64_t> picked;
+    for (uint64_t r = 0; r < decoded.size(); ++r) {
+      if (c.where == nullptr || RowMatches(*c.where, t->schema(), decoded[r])) {
+        picked.push_back(r);
+      }
+    }
+    std::stable_sort(picked.begin(), picked.end(), [&](uint64_t a, uint64_t b) {
+      return c.desc ? decoded[b][key] < decoded[a][key]
+                    : decoded[a][key] < decoded[b][key];
+    });
+    if (c.limit >= 0 && picked.size() > static_cast<size_t>(c.limit)) {
+      picked.resize(static_cast<size_t>(c.limit));
+    }
+    QueryRequest req = QueryRequest::Select("T", {"k", "d", "s"}, c.where,
+                                            "top");
+    req.OrderBy(c.order, c.desc).Limit(c.limit);
+    for (int threads : {1, 4}) {
+      ExecContext ctx(threads);
+      auto out = engine.Execute(req, &ctx);
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      const std::string label = req.ToString() + " @" + std::to_string(threads);
+      ASSERT_EQ(out->table->rows(), picked.size()) << label;
+      for (size_t col = 0; col < 3; ++col) {
+        ExpectColumnsIdentical(
+            *out->table->column(col),
+            *DecodeProjectOracle(*t->column((col + 2) % 3), picked),
+            label + " column " + std::to_string(col));
+      }
+    }
+  }
 }
 
 // ---- GROUP BY contingency pass: seeded sweep against a row oracle ---------

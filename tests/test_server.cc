@@ -995,6 +995,35 @@ TEST(Server, QueuedStatementsTimeOut) {
             static_cast<uint64_t>(timed_out));
 }
 
+// Responses larger than the socket buffers, queued while the client is
+// not reading: the server drains them by partial sends under
+// backpressure, and every byte arrives in order — each pipelined answer
+// equals the one a lone request gets.
+TEST(Server, LargeResultsDrainInOrderUnderBackpressure) {
+  TestServer ts({}, /*with_big_table=*/true);
+  auto client = ts.Connect();
+  auto want = client->Execute("SELECT * FROM B;");
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_EQ(want.ValueOrDie().type, FrameType::kResultTable);
+  ASSERT_EQ(want.ValueOrDie().rows.size(), 20'000u);
+  std::vector<uint64_t> ids;
+  std::string out;
+  for (int i = 0; i < 12; ++i) {
+    ids.push_back(client->NextRequestId());
+    out += server::EncodeExecute(ids.back(), "SELECT * FROM B;");
+  }
+  ASSERT_TRUE(client->SendRaw(out).ok());
+  // Let the answers pile up in the server's write buffer.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  for (uint64_t id : ids) {
+    auto resp = client->ReceiveFor(id);
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    ASSERT_EQ(resp.ValueOrDie().type, FrameType::kResultTable);
+    EXPECT_EQ(resp.ValueOrDie().rows, want.ValueOrDie().rows) << id;
+  }
+  EXPECT_EQ(ts.srv->GetStats().protocol_errors, 0u);
+}
+
 // Graceful shutdown: every admitted statement executes, every response
 // flushes, and an acked SMO is crash-durable across reopen.
 TEST(Server, GracefulShutdownDrainsAndPersistsAckedCommits) {

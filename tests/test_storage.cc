@@ -3,8 +3,11 @@
 
 #include <memory>
 
+#include "bitmap/codec.h"
+#include "common/random.h"
 #include "gtest/gtest.h"
 #include "storage/catalog.h"
+#include "storage/packed_vids.h"
 #include "storage/scanner.h"
 #include "storage/table.h"
 #include "test_util.h"
@@ -103,6 +106,91 @@ TEST(Column, RleEncodingRoundTrip) {
   EXPECT_EQ(as_bitmap->encoding(), ColumnEncoding::kWahBitmap);
   EXPECT_EQ(as_bitmap->DecodeVids(), vids);
   EXPECT_TRUE(as_bitmap->ValidateInvariants().ok());
+}
+
+TEST(PackedVids, WidthForDistinctCounts) {
+  EXPECT_EQ(PackedVids::WidthFor(0), 0u);
+  EXPECT_EQ(PackedVids::WidthFor(1), 0u);
+  EXPECT_EQ(PackedVids::WidthFor(2), 1u);
+  for (unsigned k = 1; k <= 32; ++k) {
+    EXPECT_EQ(PackedVids::WidthFor(uint64_t{1} << k), k) << k;
+    if (k < 32) {
+      EXPECT_EQ(PackedVids::WidthFor((uint64_t{1} << k) + 1), k + 1) << k;
+    }
+  }
+}
+
+TEST(PackedVids, EveryWidthRoundTripsAcrossWordBoundaries) {
+  // Every width 0..32 at row counts on and off 64: each entry reads back
+  // whether set in row order or scattered, entries straddling a word
+  // boundary included, and the footprint is rows × width / 8 rounded up
+  // to words.
+  Rng rng(99);
+  for (unsigned width = 0; width <= 32; ++width) {
+    const uint64_t limit = width == 0 ? 1 : uint64_t{1} << width;
+    for (uint64_t rows : {0u, 1u, 63u, 64u, 65u, 200u, 1001u}) {
+      std::vector<Vid> vids(rows);
+      for (uint64_t i = 0; i < rows; ++i) {
+        // Extremes first (all ones, zero), then random.
+        vids[i] = i == 0   ? static_cast<Vid>(limit - 1)
+                  : i == 1 ? 0
+                           : static_cast<Vid>(rng.engine()() % limit);
+      }
+      PackedVids in_order(rows, width);
+      for (uint64_t i = 0; i < rows; ++i) in_order.Set(i, vids[i]);
+      PackedVids scattered(rows, width);
+      for (uint64_t i : rng.Permutation(rows)) scattered.Set(i, vids[i]);
+      ASSERT_EQ(in_order.size(), rows);
+      EXPECT_EQ(in_order.SizeBytes(), (rows * width + 63) / 64 * 8);
+      for (uint64_t i = 0; i < rows; ++i) {
+        ASSERT_EQ(in_order[i], vids[i]) << "width " << width << " row " << i;
+        ASSERT_EQ(scattered[i], vids[i]) << "width " << width << " row " << i;
+      }
+    }
+  }
+}
+
+TEST(Column, RowVidMapMatchesDecodeAndIsCachedOnce) {
+  // Distinct counts 1, 2, 2^k and 2^k + 1 at row counts off the 64-row
+  // block, both encodings: the map reads back DecodeVids at width
+  // WidthFor(distinct), is built once per column, and its bytes leave
+  // the retained gauge with the column.
+  CodecStats& stats = GlobalCodecStats();
+  Rng rng(5);
+  for (uint64_t distinct : {1u, 2u, 16u, 17u, 1024u, 1025u}) {
+    for (uint64_t rows : {1u, 63u, 65u, 1031u, 5000u}) {
+      if (distinct > rows) continue;
+      Dictionary dict;
+      for (uint64_t v = 0; v < distinct; ++v) {
+        dict.GetOrInsert(Value(static_cast<int64_t>(v * 3)));
+      }
+      std::vector<Vid> vids(rows);
+      for (uint64_t i = 0; i < rows; ++i) {
+        vids[i] = static_cast<Vid>(i < distinct ? i
+                                                : rng.engine()() % distinct);
+      }
+      for (bool rle : {false, true}) {
+        const uint64_t built = stats.row_vid_maps_built.load();
+        const uint64_t bytes = stats.row_vid_map_bytes.load();
+        auto col = rle ? Column::FromVidsRle(DataType::kInt64, dict, vids)
+                       : Column::FromVids(DataType::kInt64, dict, vids);
+        const uint64_t stored = col->SizeBytes();
+        const PackedVids& map = col->RowVidMap();
+        EXPECT_EQ(&col->RowVidMap(), &map);
+        EXPECT_EQ(stats.row_vid_maps_built.load(), built + 1);
+        EXPECT_EQ(map.width(), PackedVids::WidthFor(distinct));
+        EXPECT_EQ(map.SizeBytes(), (rows * map.width() + 63) / 64 * 8);
+        EXPECT_EQ(stats.row_vid_map_bytes.load(), bytes + map.SizeBytes());
+        EXPECT_EQ(col->SizeBytes(), stored);  // a cache, not storage
+        ASSERT_EQ(map.size(), rows);
+        for (uint64_t i = 0; i < rows; ++i) {
+          ASSERT_EQ(map[i], vids[i]) << distinct << "/" << rows << " " << i;
+        }
+        col.reset();
+        EXPECT_EQ(stats.row_vid_map_bytes.load(), bytes);
+      }
+    }
+  }
 }
 
 TEST(Column, ValidateDetectsCorruption) {
