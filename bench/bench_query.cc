@@ -148,11 +148,12 @@ void BM_Query_GroupBySum(benchmark::State& state) {
   // AND before the per-measure counts.
   ExprPtr where = Expr::Compare(kKeyColumn, CompareOp::kLt,
                                 I64(kDistinct / 2));
+  const std::vector<AggregateSpec> sum = {AggregateSpec::Sum(kPayloadColumn)};
   ExecContext ctx(threads);
   bench::RunMeta meta(state, ctx.num_threads());
   for (auto _ : state) {
-    auto out = QueryEngine::GroupBySumRows(*r, kDependentColumn,
-                                           kPayloadColumn, where, &ctx);
+    auto out =
+        QueryEngine::GroupByRows(*r, kDependentColumn, sum, where, &ctx);
     CODS_CHECK(out.ok()) << out.status().ToString();
     benchmark::DoNotOptimize(out);
   }

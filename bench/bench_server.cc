@@ -25,14 +25,18 @@
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
-#include "concurrency/versioned_catalog.h"
+#include "common/env.h"
+#include "durability/db.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "server/wire.h"
@@ -97,14 +101,24 @@ void RunRound(server::Client* client, int session, uint64_t round,
 void BM_Server_SessionStorm(benchmark::State& state) {
   const int sessions = static_cast<int>(state.range(0));
 
-  VersionedCatalog catalog;
-  Catalog seed;
-  CODS_CHECK_OK(seed.AddTable(bench::CachedR(kDistinct)));
-  catalog.Reset(seed);
+  // A DurableDb in a fresh temp directory, seeded the way
+  // `cods_shell .load` loads a table: a raw versions()->Apply, then a
+  // checkpoint. The storm sends only COUNTs, so the WAL stays idle.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("cods_bench_server_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  auto opened = DurableDb::Open(Env::Default(), dir.string());
+  CODS_CHECK(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<DurableDb> db = std::move(opened).ValueOrDie();
+  CODS_CHECK_OK(db->versions()->Apply([](TableStore& store) {
+    return store.AddTable(bench::CachedR(kDistinct));
+  }));
+  CODS_CHECK_OK(db->Checkpoint());
 
   server::ServerOptions options;
   options.port = 0;  // ephemeral
-  server::Server srv(&catalog, options);
+  server::Server srv(db.get(), options);
   CODS_CHECK_OK(srv.Start());
 
   std::vector<std::unique_ptr<server::Client>> clients;
@@ -148,6 +162,7 @@ void BM_Server_SessionStorm(benchmark::State& state) {
 
   clients.clear();  // goodbye before the server drains
   srv.Shutdown();
+  std::filesystem::remove_all(dir);
 
   state.counters["queries_per_sec"] =
       total_seconds > 0

@@ -107,8 +107,8 @@ void BM_WahRecompress(benchmark::State& state) {
 
 // ---- k-way union/intersection: single-pass kernel vs pairwise fold ---------
 //
-// Models the per-predicate OR over qualifying value bitmaps (EvalPredicate)
-// and the multi-predicate AND (EvalConjunction): k operands of kBits bits
+// Models a leaf's OR over its qualifying value bitmaps and the AND of a
+// multi-leaf conjunction (EvalExpr): k operands of kBits bits
 // each, ~1/k density so the union stays ~63% full like a real dictionary
 // column's qualifying subset.
 
@@ -185,8 +185,7 @@ void BM_WahOrManyCount(benchmark::State& state) {
 }
 
 // AND operands: complements of sparse bitmaps, so the intersection keeps
-// most bits (the EvalConjunction regime where every predicate passes
-// most rows).
+// most bits (a conjunction where every leaf passes most rows).
 std::vector<WahBitmap> MakeDenseOperands(int64_t k) {
   std::vector<WahBitmap> sparse = MakeOperands(k);
   std::vector<WahBitmap> dense;

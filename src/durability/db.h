@@ -1,7 +1,6 @@
 // DurableDb: the crash-safe database directory. Ties together the WAL
 // (durability/wal.h), checksummed checkpoints (durability/checkpoint.h)
-// and the evolution engine's log-before-apply mode into one recovery
-// story:
+// and the evolution engine's WAL commit hook into one recovery story:
 //
 //   open  = load last good checkpoint (if any) + replay the WAL suffix
 //           whose commit LSNs exceed the checkpoint's covering LSN

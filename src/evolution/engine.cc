@@ -1,8 +1,21 @@
 #include "evolution/engine.h"
 
-#include "common/script_log.h"
-
 namespace cods {
+
+namespace {
+
+// A two-input operator (UNION, MERGE) reading one table twice, or a
+// two-output one (PARTITION, DECOMPOSE) writing one name twice, would
+// hand both operands or both results the same catalog slot.
+Status RejectAliasedNames(const Smo& smo) {
+  const bool two_inputs = smo.kind == SmoKind::kUnionTables ||
+                          smo.kind == SmoKind::kMergeTables;
+  const std::string& name = two_inputs ? smo.table : smo.out1;
+  if (name != (two_inputs ? smo.table2 : smo.out2)) return Status::OK();
+  return Status::InvalidArgument("table '" + name + "' is named twice");
+}
+
+}  // namespace
 
 EvolutionEngine::EvolutionEngine(Catalog* catalog,
                                  EvolutionObserver* observer,
@@ -13,6 +26,7 @@ EvolutionEngine::EvolutionEngine(Catalog* catalog,
       options_(options),
       exec_ctx_(options.num_threads) {
   CODS_CHECK(catalog_ != nullptr);
+  CODS_CHECK(options_.wal == nullptr) << "the WAL is snapshot-mode only";
 }
 
 Status EvolutionEngine::MaybeValidate(const Table& table) {
@@ -22,13 +36,16 @@ Status EvolutionEngine::MaybeValidate(const Table& table) {
 }
 
 Status EvolutionEngine::Apply(const Smo& smo) {
-  if (snapshots_ != nullptr) {
-    return RunSnapshot({smo}, nullptr, /*planned=*/false);
-  }
-  if (options_.wal != nullptr) {
-    return RunLogged({smo}, nullptr, /*planned=*/false);
-  }
-  return ApplyTo(*catalog_, smo, observer_);
+  return Run({smo}, nullptr, /*planned=*/false);
+}
+
+Status EvolutionEngine::ApplyAll(const std::vector<Smo>& script) {
+  return Run(script, nullptr, /*planned=*/false);
+}
+
+Status EvolutionEngine::ApplyAllPlanned(const std::vector<Smo>& script,
+                                        TaskGraphStats* stats) {
+  return Run(script, stats, /*planned=*/true);
 }
 
 Status EvolutionEngine::ApplyTo(TableStore& store, const Smo& smo,
@@ -62,58 +79,6 @@ Status EvolutionEngine::ApplyTo(TableStore& store, const Smo& smo,
   return Status::NotImplemented("unknown SMO kind");
 }
 
-Status EvolutionEngine::ApplyAll(const std::vector<Smo>& script) {
-  if (snapshots_ != nullptr) {
-    return RunSnapshot(script, nullptr, options_.plan_scripts);
-  }
-  if (options_.wal != nullptr) {
-    return RunLogged(script, nullptr, options_.plan_scripts);
-  }
-  if (options_.plan_scripts) return ApplyAllPlanned(script);
-  return RunSerial(script, nullptr);
-}
-
-Status EvolutionEngine::RunSerial(const std::vector<Smo>& script,
-                                  size_t* applied) {
-  for (const Smo& smo : script) {
-    CODS_RETURN_NOT_OK(
-        ApplyTo(*catalog_, smo, observer_).WithContext(smo.ToString()));
-    if (applied != nullptr) ++*applied;
-  }
-  return Status::OK();
-}
-
-Status EvolutionEngine::RunLogged(const std::vector<Smo>& script,
-                                  TaskGraphStats* stats, bool planned) {
-  if (script.empty()) return Status::OK();
-  ScriptLog& wal = *options_.wal;
-  // Log the whole script before touching the catalog: an I/O failure
-  // here aborts with the catalog untouched, and the torn record tail is
-  // exactly what recovery truncates away.
-  CODS_RETURN_NOT_OK(wal.BeginScript());
-  for (const Smo& smo : script) {
-    CODS_RETURN_NOT_OK(wal.AppendStatement(smo.ToString()));
-  }
-  size_t applied = 0;
-  Status run = planned ? RunPlanned(script, stats, &applied)
-                       : RunSerial(script, &applied);
-  // Commit (append + fsync) even when the script failed mid-way: the
-  // catalog holds the prefix, and the commit's applied count makes
-  // recovery reproduce exactly that prefix. A durability failure
-  // outranks the script's own status — the caller must not treat the
-  // result as acknowledged.
-  CODS_RETURN_NOT_OK(
-      wal.CommitScript(static_cast<uint32_t>(applied)));
-  return run;
-}
-
-Status EvolutionEngine::ApplyAllPlanned(const std::vector<Smo>& script,
-                                        TaskGraphStats* stats) {
-  if (snapshots_ != nullptr) return RunSnapshot(script, stats, true);
-  if (options_.wal != nullptr) return RunLogged(script, stats, true);
-  return RunPlanned(script, stats, nullptr);
-}
-
 Status EvolutionEngine::ApplyCreateTable(TableStore& store, const Smo& smo) {
   CODS_ASSIGN_OR_RETURN(auto table, MakeEmptyTable(smo.out1, smo.schema));
   return store.AddTable(std::move(table));
@@ -121,6 +86,7 @@ Status EvolutionEngine::ApplyCreateTable(TableStore& store, const Smo& smo) {
 
 Status EvolutionEngine::ApplyDecompose(TableStore& store, const Smo& smo,
                                        EvolutionObserver* observer) {
+  CODS_RETURN_NOT_OK(RejectAliasedNames(smo));
   CODS_ASSIGN_OR_RETURN(auto r, store.GetTable(smo.table));
   if (smo.out1 != smo.table && store.HasTable(smo.out1)) {
     return Status::AlreadyExists("table '" + smo.out1 + "' already exists");
@@ -145,6 +111,7 @@ Status EvolutionEngine::ApplyDecompose(TableStore& store, const Smo& smo,
 
 Status EvolutionEngine::ApplyMerge(TableStore& store, const Smo& smo,
                                    EvolutionObserver* observer) {
+  CODS_RETURN_NOT_OK(RejectAliasedNames(smo));
   CODS_ASSIGN_OR_RETURN(auto s, store.GetTable(smo.table));
   CODS_ASSIGN_OR_RETURN(auto t, store.GetTable(smo.table2));
   if (smo.out1 != smo.table && smo.out1 != smo.table2 &&
@@ -166,6 +133,7 @@ Status EvolutionEngine::ApplyMerge(TableStore& store, const Smo& smo,
 
 Status EvolutionEngine::ApplyUnion(TableStore& store, const Smo& smo,
                                    EvolutionObserver* observer) {
+  CODS_RETURN_NOT_OK(RejectAliasedNames(smo));
   CODS_ASSIGN_OR_RETURN(auto a, store.GetTable(smo.table));
   CODS_ASSIGN_OR_RETURN(auto b, store.GetTable(smo.table2));
   if (smo.out1 != smo.table && smo.out1 != smo.table2 &&
@@ -183,6 +151,7 @@ Status EvolutionEngine::ApplyUnion(TableStore& store, const Smo& smo,
 
 Status EvolutionEngine::ApplyPartition(TableStore& store, const Smo& smo,
                                        EvolutionObserver* observer) {
+  CODS_RETURN_NOT_OK(RejectAliasedNames(smo));
   CODS_ASSIGN_OR_RETURN(auto src, store.GetTable(smo.table));
   if (smo.out1 != smo.table && store.HasTable(smo.out1)) {
     return Status::AlreadyExists("table '" + smo.out1 + "' already exists");

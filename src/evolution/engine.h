@@ -2,16 +2,23 @@
 // against a catalog, executing data evolution at the data level. This is
 // the component behind the demo's "execution" button.
 //
-// Two script execution modes:
-//   * ApplyAll — strictly serial, one operator at a time.
-//   * ApplyAllPlanned — plans the script into a dependency DAG over the
-//     operators' table read/write sets (plan/script_planner.h), runs it
-//     on the exec-layer TaskGraph so independent operators overlap, and
-//     commits each operator's privately staged catalog effects in script
-//     order. The final catalog — schemas and per-column WAH code words —
-//     is bit-identical to serial ApplyAll at every thread count, and a
-//     mid-script failure leaves exactly the serial prefix committed with
-//     the same error Status.
+// One execution core runs every call: the script is staged against a
+// pinned base (a private overlay records each operator's catalog
+// effects; nothing visible changes), then the effects of the applied
+// prefix — every operator before the first failure — commit at once.
+// Staging is serial (Apply, ApplyAll) or planned (ApplyAllPlanned: the
+// script becomes a dependency DAG over the operators' table read/write
+// sets, plan/script_planner.h, run on the exec-layer TaskGraph so
+// independent operators overlap). Either way the final catalog — schemas
+// and per-column WAH code words — is bit-identical at every thread
+// count, and a failure leaves exactly the serial prefix committed with
+// the same error Status ("<SMO text>: <cause>"); a failing operator
+// commits none of its own effects.
+//
+// The bound store only decides the commit: a Catalog replays the
+// effects in place; a SnapshotCatalog commits them through its
+// first-writer-wins protocol (optionally logging the script to the WAL
+// inside the commit critical section).
 
 #ifndef CODS_EVOLUTION_ENGINE_H_
 #define CODS_EVOLUTION_ENGINE_H_
@@ -43,30 +50,21 @@ struct EngineOptions {
   bool validate_outputs = false;
   /// COPY TABLE physically duplicates storage instead of sharing it.
   bool deep_copy = false;
-  /// ApplyAll routes whole scripts through the planner + task graph
-  /// (ApplyAllPlanned) instead of the serial loop. Single-operator
-  /// Apply calls are unaffected.
-  bool plan_scripts = false;
   /// Worker threads for the data-movement phases of DECOMPOSE / MERGE /
   /// UNION / PARTITION, output validation, and — in planned mode — the
   /// script-level task graph. 0: process default (CODS_THREADS env var,
   /// else hardware concurrency); 1: strictly serial. Results are
   /// bit-identical at every thread count.
   int num_threads = 0;
-  /// Log-before-apply: when set, Apply / ApplyAll / ApplyAllPlanned wrap
-  /// every script in WAL BEGIN / STATEMENT* / COMMIT records (the
-  /// statements logged BEFORE any catalog mutation, the commit fsync'd
-  /// after), so a crash-recovered catalog replays to exactly the
-  /// committed prefix. The commit record counts the statements that
+  /// Snapshot mode only (the Catalog constructor checks it is null):
+  /// every script is logged as WAL BEGIN / STATEMENT* / COMMIT inside
+  /// the commit critical section, after conflict validation and strictly
+  /// before the root swap — an aborted script never reaches the log, and
+  /// a root can only become visible to readers once the script producing
+  /// it is fsync-durable. The commit record counts the statements that
   /// succeeded, which keeps mid-script failures replayable. A WAL write
   /// failure outranks the script's own status. Owned by the caller
   /// (durability/db.h).
-  ///
-  /// In snapshot-commit mode (engine bound to a SnapshotCatalog) the
-  /// whole script is instead logged inside the commit critical section,
-  /// after conflict validation and strictly before the root swap: an
-  /// aborted script never reaches the log, and a root can only become
-  /// visible to readers once the script producing it is fsync-durable.
   ScriptLog* wal = nullptr;
 };
 
@@ -80,6 +78,8 @@ struct EngineOptions {
 ///   table with its new version under the same name.
 class EvolutionEngine {
  public:
+  /// Catalog mode: the applied prefix's effects replay onto `catalog`.
+  /// `options.wal` must be null.
   explicit EvolutionEngine(Catalog* catalog,
                            EvolutionObserver* observer = nullptr,
                            EngineOptions options = {});
@@ -88,9 +88,7 @@ class EvolutionEngine {
   /// root (readers keep serving pinned snapshots, unblocked) and commit
   /// through SnapshotCatalog's first-writer-wins protocol — a competing
   /// committed writer aborts the script with kAborted unless the write
-  /// sets are disjoint, in which case the effects rebase cleanly. Both
-  /// the serial path and the planned task graph stage the same way; only
-  /// the commit differs from Catalog mode.
+  /// sets are disjoint, in which case the effects rebase cleanly.
   explicit EvolutionEngine(SnapshotCatalog* snapshots,
                            EvolutionObserver* observer = nullptr,
                            EngineOptions options = {});
@@ -98,14 +96,12 @@ class EvolutionEngine {
   /// Executes one operator.
   Status Apply(const Smo& smo);
 
-  /// Executes a script; stops at the first failure. Routes through
-  /// ApplyAllPlanned when options.plan_scripts is set.
+  /// Executes a script serially; stops at the first failure.
   Status ApplyAll(const std::vector<Smo>& script);
 
   /// Executes a script through the planner + task graph: independent
-  /// operators overlap on num_threads workers, each operator's catalog
-  /// effects are staged privately, and the effects commit in script
-  /// order — so on success the catalog is bit-identical to serial
+  /// operators overlap on num_threads workers, and the effects commit in
+  /// script order — so on success the catalog is bit-identical to
   /// ApplyAll, and on failure exactly the operators preceding the first
   /// failing SCRIPT POSITION are committed and that operator's Status
   /// is returned (operators with no path from the failure may have run;
@@ -114,44 +110,30 @@ class EvolutionEngine {
   Status ApplyAllPlanned(const std::vector<Smo>& script,
                          TaskGraphStats* stats = nullptr);
 
-  /// The bound catalog (null in snapshot-commit mode).
-  Catalog* catalog() { return catalog_; }
-  /// The bound snapshot catalog (null in Catalog mode).
-  SnapshotCatalog* snapshots() { return snapshots_; }
-
  private:
-  // The planned and snapshot execution cores below are declared here but
-  // DEFINED one layer up (plan/engine_planned.cc and
-  // concurrency/engine_snapshot.cc): evolution sits below plan and
-  // concurrency in the architecture, so the integration glue that needs
-  // their types lives with them and this header only forward-declares.
+  // The execution core and its staging half are declared here but
+  // DEFINED one layer up, in concurrency/engine_snapshot.cc: evolution
+  // sits below plan and concurrency in the architecture, so the glue
+  // that needs their types lives there and this header only
+  // forward-declares.
 
-  // Unlogged execution cores; `applied` (optional) receives the number
-  // of operators whose effects reached the catalog.
-  Status RunSerial(const std::vector<Smo>& script, size_t* applied);
-  Status RunPlanned(const std::vector<Smo>& script, TaskGraphStats* stats,
-                    size_t* applied);
-  // The log-before-apply wrapper around either core (Catalog mode).
-  Status RunLogged(const std::vector<Smo>& script, TaskGraphStats* stats,
-                   bool planned);
-  // Snapshot-commit core: stages the script against the current root,
-  // then commits the applied prefix's effects (WAL-logging, when
-  // configured, inside the commit critical section before the swap).
-  Status RunSnapshot(const std::vector<Smo>& script, TaskGraphStats* stats,
-                     bool planned);
-  // Stages a script against `staged` without committing anything:
-  // serial loop or planner + task graph. On return `effects[i]` holds
-  // operator i's staged effects, `applied` the length of the commit
-  // prefix (every operator before the first script-order failure), and
-  // the returned Status is that first failure (OK when all ran).
+  // Stages `script` (serially, or planned) against a pinned base, then
+  // commits the applied prefix's effects to the bound store. The commit
+  // failing (conflict abort, WAL error) outranks the script's status.
+  Status Run(const std::vector<Smo>& script, TaskGraphStats* stats,
+             bool planned);
+  // Stages a script against `staged` without committing anything. On
+  // return `effects[i]` holds operator i's staged effects, `applied` the
+  // length of the commit prefix (every operator before the first
+  // script-order failure), and the returned Status is that first
+  // failure (OK when all ran).
   Status StageScript(StagedCatalog* staged, const std::vector<Smo>& script,
                      bool planned, TaskGraphStats* stats,
                      std::vector<std::vector<CatalogEffect>>* effects,
                      size_t* applied);
-  // Operator interpreters, parameterized over the table store so the
-  // same code runs directly on the catalog (Apply) and on a staged
-  // overlay (ApplyAllPlanned). `observer` rather than the member so
-  // planned execution can substitute a serializing adapter.
+  // Operator interpreters over one staged view. `observer` rather than
+  // the member so planned execution can substitute a serializing
+  // adapter.
   Status ApplyTo(TableStore& store, const Smo& smo,
                  EvolutionObserver* observer);
   Status ApplyCreateTable(TableStore& store, const Smo& smo);

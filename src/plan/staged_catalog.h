@@ -1,13 +1,13 @@
-// Staged catalog state for planned script execution. Tasks of a script
-// plan run concurrently, so their catalog effects must not touch the
-// real Catalog until the whole script's fate is known; instead each
-// task mutates a shared, thread-safe overlay (so downstream tasks see
-// upstream outputs) while privately recording an effect log. After the
-// task graph finishes, the engine replays the logs onto the real
-// catalog in SCRIPT order — committing exactly the prefix of operators
-// that serial ApplyAll would have committed, so the final catalog is
+// Staged catalog state for script execution. Every engine call stages
+// its operators here before anything becomes visible: planned tasks run
+// concurrently, so their catalog effects must not touch the bound store
+// until the whole script's fate is known; instead each operator mutates
+// a shared, thread-safe overlay (so downstream operators see upstream
+// outputs) while privately recording an effect log. Once staging ends,
+// the engine commits the logs in SCRIPT order — exactly the prefix of
+// operators before the first failure — so the final catalog is
 // bit-identical to serial execution in both the success and the
-// first-failure case.
+// first-failure case, and a failing operator leaves no partial effect.
 //
 // Error-message parity: every overlay operation reproduces Catalog's
 // semantics and message text exactly (KeyError "no table named '...'",

@@ -20,10 +20,6 @@
 //      complement on top of its leaf. The complement is exact because
 //      every row holds exactly one non-null value per column, so a
 //      column's value bitmaps partition the row domain.
-//
-// This is the expression counterpart of the FastBit-style selection the
-// free functions in column_select.h provided for flat predicate lists;
-// those functions are now thin shims over this AST and the QueryEngine.
 
 #ifndef CODS_QUERY_EXPR_H_
 #define CODS_QUERY_EXPR_H_

@@ -1043,22 +1043,6 @@ Result<std::vector<GroupRow>> QueryEngine::GroupByRows(
   return out;
 }
 
-Result<std::vector<std::pair<Value, double>>> QueryEngine::GroupBySumRows(
-    const Table& table, const std::string& group_by,
-    const std::string& sum_column, const ExprPtr& where,
-    const ExecContext* ctx) {
-  CODS_ASSIGN_OR_RETURN(
-      std::vector<GroupRow> rows,
-      GroupByRows(table, group_by, {AggregateSpec::Sum(sum_column)}, where,
-                  ctx));
-  std::vector<std::pair<Value, double>> out;
-  out.reserve(rows.size());
-  for (GroupRow& row : rows) {
-    out.emplace_back(std::move(row.group), row.aggregates[0].dbl());
-  }
-  return out;
-}
-
 // ---- ORDER BY / LIMIT ------------------------------------------------------
 
 Result<std::shared_ptr<const Table>> QueryEngine::SortRows(

@@ -197,8 +197,8 @@ class QueryEngine {
 
   // ---- Table-level entry points ------------------------------------------
   //
-  // Execute() resolves the table(s) and dispatches here; the legacy
-  // column_select.h shims call these directly with a table in hand.
+  // Execute() resolves the table(s) and dispatches here; callers with a
+  // table in hand call these directly.
 
   /// SELECT <columns> FROM table WHERE where. Null `where` selects all
   /// rows; empty `columns` projects all. A column listed twice (after
@@ -256,12 +256,6 @@ class QueryEngine {
   static Result<std::vector<GroupRow>> GroupByRows(
       const Table& table, const std::string& group_by,
       const std::vector<AggregateSpec>& aggregates, const ExprPtr& where,
-      const ExecContext* ctx = nullptr);
-
-  /// The single-SUM back-compat wrapper over GroupByRows.
-  static Result<std::vector<std::pair<Value, double>>> GroupBySumRows(
-      const Table& table, const std::string& group_by,
-      const std::string& sum_column, const ExprPtr& where,
       const ExecContext* ctx = nullptr);
 
   /// ORDER BY order_by [DESC] LIMIT limit over `table`: rows reorder on

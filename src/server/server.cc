@@ -104,30 +104,13 @@ Server::Server(DurableDb* db, ServerOptions options)
           AdmissionOptions{options_.point_workers, options_.heavy_workers,
                            options_.lane_queue_limit, options_.max_batch}) {}
 
-Server::Server(VersionedCatalog* catalog, ServerOptions options)
-    : catalog_(catalog),
-      options_(std::move(options)),
-      admission_(
-          [this](Lane lane, std::vector<AdmissionTask> tasks) {
-            RunBatch(lane, std::move(tasks));
-          },
-          AdmissionOptions{options_.point_workers, options_.heavy_workers,
-                           options_.lane_queue_limit, options_.max_batch}) {
-  engine_ = std::make_unique<EvolutionEngine>(catalog_->serving());
-}
-
 Server::~Server() {
   Shutdown();
 }
 
-Snapshot Server::GetSnapshot() const {
-  return db_ != nullptr ? db_->GetSnapshot() : catalog_->GetSnapshot();
-}
-
 Status Server::ExecuteWrite(const Smo& smo) {
   std::lock_guard<std::mutex> lock(write_mu_);
-  if (db_ != nullptr) return db_->ApplyScript({smo});
-  return engine_->Apply(smo);
+  return db_->ApplyScript({smo});
 }
 
 // ---- Lifecycle ----------------------------------------------------------
@@ -303,7 +286,7 @@ void Server::AcceptOne() {
       conn->session_id = next_session_id_++;
       conns_[fd] = conn;
     }
-    conn->snapshot = GetSnapshot();
+    conn->snapshot = db_->GetSnapshot();
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.sessions_opened;
   }
@@ -470,7 +453,7 @@ void Server::HandleFrame(const std::shared_ptr<Conn>& conn,
       return;
     }
     case FrameType::kPrepare: {
-      Snapshot snap = GetSnapshot();
+      Snapshot snap = db_->GetSnapshot();
       Result<PreparedStatement> prepared =
           PrepareStatement(req.text, snap.root());
       if (!prepared.ok()) {
@@ -488,7 +471,7 @@ void Server::HandleFrame(const std::shared_ptr<Conn>& conn,
       return;
     }
     case FrameType::kExecPrepared: {
-      Snapshot snap = GetSnapshot();
+      Snapshot snap = db_->GetSnapshot();
       Result<Statement> bound{Statement{}};
       {
         std::lock_guard<std::mutex> sl(conn->session_mu);
@@ -549,7 +532,7 @@ void Server::HandleFrame(const std::shared_ptr<Conn>& conn,
 
 void Server::AdmitStatement(const std::shared_ptr<Conn>& conn,
                             uint64_t request_id, Statement stmt) {
-  Snapshot snap = GetSnapshot();
+  Snapshot snap = db_->GetSnapshot();
   Lane lane =
       ClassifyStatement(stmt, snap.root(), options_.heavy_row_threshold);
   auto payload = std::make_shared<PendingStatement>();
@@ -604,9 +587,8 @@ void Server::RunBatch(Lane lane, std::vector<AdmissionTask> tasks) {
         .push_back(std::move(stmt));
   }
 
-  // Writes: strictly serial, acked only after the durability layer
-  // reports the commit fsync'd (DurableDb) or the root swapped
-  // (in-memory mode).
+  // Writes: strictly serial, acked only after DurableDb reports the
+  // commit fsync'd and the root swapped.
   for (const auto& stmt : writes) {
     Status st = ExecuteWrite(stmt->stmt.smo);
     if (st.ok()) {
@@ -622,7 +604,7 @@ void Server::RunBatch(Lane lane, std::vector<AdmissionTask> tasks) {
   // Queries: one pinned snapshot for the whole batch; compatible
   // statements share evals (server/batch.h). Each participating
   // session's pin advances to the batch root.
-  Snapshot snap = GetSnapshot();
+  Snapshot snap = db_->GetSnapshot();
   std::vector<const QueryRequest*> requests;
   requests.reserve(queries.size());
   for (const auto& stmt : queries) {

@@ -8,8 +8,8 @@
 //     parse, classify, admit, and write-back. Statement execution never
 //     runs here.
 //   * Admission workers (server/admission.h) run batches on the shared
-//     ThreadPool: deadline checks, SMO writes (serialized through the
-//     DurableDb / VersionedCatalog single-writer protocol), and query
+//     ThreadPool: deadline checks, SMO writes (serialized, then
+//     committed through DurableDb::ApplyScript), and query
 //     batches through the sharing executor (server/batch.h) against
 //     ONE pinned Snapshot per batch. Responses are appended to the
 //     connection's write buffer and the loop is woken via self-pipe.
@@ -41,8 +41,6 @@
 #include <vector>
 
 #include "durability/db.h"
-#include "evolution/engine.h"
-#include "concurrency/versioned_catalog.h"
 #include "server/admission.h"
 #include "server/batch.h"
 #include "server/prepared.h"
@@ -81,9 +79,6 @@ class Server {
   /// Serves a durable database: SMOs go through ApplyScript (WAL +
   /// fsync before ack), queries pin snapshots.
   Server(DurableDb* db, ServerOptions options);
-  /// Serves an in-memory catalog (tests, benches): SMOs go through an
-  /// internal snapshot-commit engine.
-  Server(VersionedCatalog* catalog, ServerOptions options);
   ~Server();
 
   Server(const Server&) = delete;
@@ -105,7 +100,6 @@ class Server {
   struct Conn;
   struct PendingStatement;
 
-  Snapshot GetSnapshot() const;
   Status ExecuteWrite(const Smo& smo);
 
   void EventLoop();
@@ -124,9 +118,7 @@ class Server {
   void SendResponse(const std::shared_ptr<Conn>& conn, std::string bytes);
   void RunBatch(Lane lane, std::vector<AdmissionTask> tasks);
 
-  DurableDb* db_ = nullptr;                  // durable mode
-  VersionedCatalog* catalog_ = nullptr;      // in-memory mode
-  std::unique_ptr<EvolutionEngine> engine_;  // in-memory mode writer
+  DurableDb* db_;
   const ServerOptions options_;
 
   AdmissionController admission_;

@@ -1,9 +1,13 @@
-// Tests for the EvolutionEngine: SMO dispatch, catalog effects, and
-// failure handling.
+// Tests for the EvolutionEngine: SMO dispatch, catalog effects, failure
+// handling, and parity between the Catalog and SnapshotCatalog bindings.
 
 #include "evolution/engine.h"
 
+#include <map>
+
+#include "concurrency/snapshot_catalog.h"
 #include "gtest/gtest.h"
+#include "smo/parser.h"
 #include "test_util.h"
 
 namespace cods {
@@ -187,6 +191,135 @@ TEST(SmoToString, CoversEveryKind) {
   EXPECT_EQ(Smo::DropColumn("R", "c").ToString(), "DROP COLUMN c FROM R");
   EXPECT_EQ(Smo::RenameColumn("R", "a", "b").ToString(),
             "RENAME COLUMN a TO b IN R");
+}
+
+// ---- Catalog and SnapshotCatalog bindings -------------------------------
+
+using TableMap = std::map<std::string, std::shared_ptr<const Table>>;
+
+std::vector<Smo> Parse(const std::string& text) {
+  auto script = ParseSmoScript(text);
+  CODS_CHECK(script.ok()) << script.status().ToString();
+  return std::move(script).ValueOrDie();
+}
+
+// An engine bound to a Catalog or to a SnapshotCatalog, both seeded with
+// Figure 1's R.
+class BoundEngine {
+ public:
+  explicit BoundEngine(bool snapshot) : snapshot_(snapshot) {
+    CODS_CHECK_OK(catalog_.AddTable(Figure1TableR()));
+    if (snapshot_) {
+      snapshots_.Reset(catalog_);
+      engine_ = std::make_unique<EvolutionEngine>(&snapshots_);
+    } else {
+      engine_ = std::make_unique<EvolutionEngine>(&catalog_);
+    }
+  }
+
+  EvolutionEngine& engine() { return *engine_; }
+  const char* name() const { return snapshot_ ? "snapshot" : "catalog"; }
+
+  // The tables the binding serves now, by name.
+  TableMap Tables() const {
+    const Catalog served =
+        snapshot_ ? MaterializeCatalog(*snapshots_.current()) : Catalog();
+    const Catalog& from = snapshot_ ? served : catalog_;
+    TableMap tables;
+    for (const std::string& name : from.TableNames()) {
+      tables[name] = from.GetTable(name).ValueOrDie();
+    }
+    return tables;
+  }
+
+ private:
+  bool snapshot_;
+  Catalog catalog_;
+  SnapshotCatalog snapshots_;
+  std::unique_ptr<EvolutionEngine> engine_;
+};
+
+// An SMO that names one table twice — both outputs of PARTITION or
+// DECOMPOSE, both inputs of UNION or MERGE — is rejected before any work,
+// naming the table, and leaves every binding untouched.
+TEST(EngineBindings, AliasedTableNamesAreRejected) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"PARTITION TABLE R INTO X, X WHERE Skill = 'Light Cleaning';", "X"},
+      {"DECOMPOSE TABLE R INTO S(Employee, Skill), "
+       "S(Employee, Address) KEY(Employee);",
+       "S"},
+      {"UNION TABLES R, R INTO U;", "R"},
+      {"MERGE TABLES R, R INTO M ON (Employee);", "R"},
+  };
+  for (bool snapshot : {false, true}) {
+    for (const auto& [text, name] : cases) {
+      BoundEngine bound(snapshot);
+      const TableMap before = bound.Tables();
+      Status st = bound.engine().Apply(Parse(text)[0]);
+      EXPECT_TRUE(st.IsInvalidArgument())
+          << bound.name() << ": " << text << " -> " << st.ToString();
+      EXPECT_NE(st.message().find("table '" + name + "'"), std::string::npos)
+          << st.ToString();
+      EXPECT_EQ(bound.Tables(), before) << bound.name() << ": " << text;
+    }
+  }
+}
+
+// The binding only decides where the effects commit: the same script run
+// serially or planned on a Catalog- or a SnapshotCatalog-bound engine
+// gives the same Status text and the same tables — a failing statement
+// commits none of its own effects on either.
+TEST(EngineBindings, CatalogAndSnapshotBindingsAgree) {
+  struct Case {
+    std::string text;
+    std::string survivor;  // a table every run must end up holding
+  };
+  const std::vector<Case> cases = {
+      // All succeed.
+      {"COPY TABLE R TO R2;"
+       "PARTITION TABLE R INTO A, B WHERE Skill = 'Light Cleaning';"
+       "UNION TABLES A, B INTO U;"
+       "DECOMPOSE TABLE U INTO S(Employee, Skill), "
+       "T(Employee, Address) KEY(Employee);"
+       "MERGE TABLES S, T INTO M ON (Employee);"
+       "ADD COLUMN Level INT64 TO M DEFAULT 1;"
+       "RENAME TABLE R2 TO Backup;",
+       "M"},
+      // Fails mid-script: the prefix commits, the rest never runs.
+      {"COPY TABLE R TO R2; DROP TABLE Missing; RENAME TABLE R2 TO R3;",
+       "R2"},
+      // Self-UNION: fails without touching R.
+      {"UNION TABLES R, R INTO U;", "R"},
+  };
+  for (const auto& [text, survivor] : cases) {
+    const std::vector<Smo> script = Parse(text);
+    std::string want_status;
+    std::map<std::string, std::vector<Row>> want_rows;
+    bool first = true;
+    for (bool snapshot : {false, true}) {
+      for (bool planned : {false, true}) {
+        BoundEngine bound(snapshot);
+        Status st = planned ? bound.engine().ApplyAllPlanned(script)
+                            : bound.engine().ApplyAll(script);
+        std::map<std::string, std::vector<Row>> rows;
+        for (const auto& [name, table] : bound.Tables()) {
+          rows[name] = table->Materialize();
+        }
+        if (first) {
+          want_status = st.ToString();
+          want_rows = rows;
+          first = false;
+          continue;
+        }
+        const std::string label = std::string(bound.name()) +
+                                  (planned ? " planned: " : " serial: ") +
+                                  text;
+        EXPECT_EQ(st.ToString(), want_status) << label;
+        EXPECT_EQ(rows, want_rows) << label;
+      }
+    }
+    EXPECT_EQ(want_rows.count(survivor), 1u) << text;
+  }
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
 #include "exec/exec.h"
 #include "gtest/gtest.h"
 #include "query/column_executor.h"
-#include "query/column_select.h"
 #include "query/join.h"
 #include "query/query_engine.h"
 #include "storage/catalog.h"
@@ -152,44 +151,50 @@ TEST(ParallelDeterminismTest, UnionAndPartition) {
 
 TEST(ParallelDeterminismTest, QueryPaths) {
   auto r = TestTable();
-  std::vector<ColumnPredicate> preds{
-      ColumnPredicate::Compare(kKeyColumn, CompareOp::kLt,
-                               Value(static_cast<int64_t>(300))),
-      ColumnPredicate::Compare(kPayloadColumn, CompareOp::kGe,
-                               Value(static_cast<int64_t>(20))),
+  std::vector<ExprPtr> leaves{
+      Expr::Compare(kKeyColumn, CompareOp::kLt,
+                    Value(static_cast<int64_t>(300))),
+      Expr::Compare(kPayloadColumn, CompareOp::kGe,
+                    Value(static_cast<int64_t>(20))),
   };
+  const ExprPtr conj_expr = Expr::And(leaves);
+  const ExprPtr disj_expr = Expr::Or(leaves);
+  const std::vector<AggregateSpec> sum = {AggregateSpec::Sum(kPayloadColumn)};
   ExecContext serial(1);
-  auto ref_conj = EvalConjunction(*r, preds, &serial);
-  auto ref_disj = EvalDisjunction(*r, preds, &serial);
-  auto ref_count = CountWhere(*r, preds, &serial);
-  auto ref_select = SelectWhere(*r, preds, "sel", &serial);
-  auto ref_group = GroupBySum(*r, kDependentColumn, kPayloadColumn,
-                              &serial);
+  auto ref_conj = EvalExpr(*r, conj_expr, &serial);
+  auto ref_disj = EvalExpr(*r, disj_expr, &serial);
+  auto ref_count = QueryEngine::CountRows(*r, conj_expr, &serial);
+  auto ref_select =
+      QueryEngine::SelectRows(*r, {}, conj_expr, "sel", &serial);
+  auto ref_group =
+      QueryEngine::GroupByRows(*r, kDependentColumn, sum, nullptr, &serial);
   ASSERT_TRUE(ref_conj.ok() && ref_disj.ok() && ref_count.ok() &&
               ref_select.ok() && ref_group.ok());
   for (int threads : kThreadCounts) {
     ExecContext ctx(threads);
-    auto conj = EvalConjunction(*r, preds, &ctx);
+    auto conj = EvalExpr(*r, conj_expr, &ctx);
     ASSERT_TRUE(conj.ok());
     EXPECT_TRUE(*ref_conj == *conj) << "conjunction @" << threads;
-    auto disj = EvalDisjunction(*r, preds, &ctx);
+    auto disj = EvalExpr(*r, disj_expr, &ctx);
     ASSERT_TRUE(disj.ok());
     EXPECT_TRUE(*ref_disj == *disj) << "disjunction @" << threads;
-    auto count = CountWhere(*r, preds, &ctx);
+    auto count = QueryEngine::CountRows(*r, conj_expr, &ctx);
     ASSERT_TRUE(count.ok());
     EXPECT_EQ(*ref_count, *count) << "count @" << threads;
-    auto sel = SelectWhere(*r, preds, "sel", &ctx);
+    auto sel = QueryEngine::SelectRows(*r, {}, conj_expr, "sel", &ctx);
     ASSERT_TRUE(sel.ok());
     ExpectTablesIdentical(**ref_select, **sel,
                           "select @" + std::to_string(threads));
-    auto group = GroupBySum(*r, kDependentColumn, kPayloadColumn, &ctx);
+    auto group =
+        QueryEngine::GroupByRows(*r, kDependentColumn, sum, nullptr, &ctx);
     ASSERT_TRUE(group.ok());
     ASSERT_EQ(ref_group->size(), group->size());
     for (size_t i = 0; i < group->size(); ++i) {
-      EXPECT_EQ((*ref_group)[i].first, (*group)[i].first);
+      EXPECT_EQ((*ref_group)[i].group, (*group)[i].group);
       // Bit-identical doubles: same AND-count sequence, same summation
       // order per group.
-      EXPECT_EQ((*ref_group)[i].second, (*group)[i].second)
+      EXPECT_EQ((*ref_group)[i].aggregates[0].dbl(),
+                (*group)[i].aggregates[0].dbl())
           << "group " << i << " @" << threads;
     }
   }
@@ -223,8 +228,9 @@ TEST(ParallelDeterminismTest, NestedExpressionEvaluation) {
   auto ref_count = EvalExprCount(*r, expr, &serial);
   auto ref_select = QueryEngine::SelectRows(*r, {kKeyColumn, kPayloadColumn},
                                             expr, "sel", &serial);
-  auto ref_group = QueryEngine::GroupBySumRows(*r, kDependentColumn,
-                                               kPayloadColumn, expr, &serial);
+  const std::vector<AggregateSpec> sum = {AggregateSpec::Sum(kPayloadColumn)};
+  auto ref_group =
+      QueryEngine::GroupByRows(*r, kDependentColumn, sum, expr, &serial);
   ASSERT_TRUE(ref_bm.ok() && ref_count.ok() && ref_select.ok() &&
               ref_group.ok());
   EXPECT_EQ(*ref_count, ref_bm->CountOnes());
@@ -241,14 +247,16 @@ TEST(ParallelDeterminismTest, NestedExpressionEvaluation) {
     ASSERT_TRUE(sel.ok());
     ExpectTablesIdentical(**ref_select, **sel,
                           "expr select @" + std::to_string(threads));
-    auto group = QueryEngine::GroupBySumRows(*r, kDependentColumn,
-                                             kPayloadColumn, expr, &ctx);
+    auto group =
+        QueryEngine::GroupByRows(*r, kDependentColumn, sum, expr, &ctx);
     ASSERT_TRUE(group.ok());
     ASSERT_EQ(ref_group->size(), group->size());
     for (size_t i = 0; i < group->size(); ++i) {
+      EXPECT_EQ((*ref_group)[i].group, (*group)[i].group);
       // Bit-identical doubles: same AND-count sequence, same summation
       // order per group.
-      EXPECT_EQ((*ref_group)[i], (*group)[i])
+      EXPECT_EQ((*ref_group)[i].aggregates[0].dbl(),
+                (*group)[i].aggregates[0].dbl())
           << "expr group " << i << " @" << threads;
     }
   }
@@ -652,9 +660,8 @@ TEST(ParallelDeterminismTest, PlannedScriptExecution) {
     EngineOptions options;
     options.num_threads = threads;
     options.validate_outputs = true;
-    options.plan_scripts = true;  // ApplyAll routes through the planner
     EvolutionEngine engine(catalog.get(), nullptr, options);
-    Status st = engine.ApplyAll(script);
+    Status st = engine.ApplyAllPlanned(script);
     ASSERT_TRUE(st.ok()) << st.ToString();
     ASSERT_EQ(serial_catalog->TableNames(), catalog->TableNames())
         << "planned script @" << threads;

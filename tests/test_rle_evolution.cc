@@ -7,7 +7,7 @@
 #include "evolution/merge.h"
 #include "evolution/simple_ops.h"
 #include "gtest/gtest.h"
-#include "query/column_select.h"
+#include "query/query_engine.h"
 #include "test_util.h"
 
 namespace cods {
@@ -102,33 +102,49 @@ TEST(RleEvolution, PartitionAndUnionAcceptRleInputs) {
 
 TEST(GroupBy, CountMatchesValueCounts) {
   auto r = SortedFdTable(1000, 10);
-  auto groups = GroupByCount(*r, "K").ValueOrDie();
-  ASSERT_EQ(groups.size(), 10u);
+  // GROUP BY reads the group column's value bitmaps: V (r % 5) is WAH;
+  // the RLE-encoded K is rejected rather than decoded.
+  auto groups =
+      QueryEngine::GroupByRows(*r, "V", {AggregateSpec::Count()}, nullptr)
+          .ValueOrDie();
+  ASSERT_EQ(groups.size(), 5u);
   uint64_t total = 0;
-  for (const auto& [value, count] : groups) {
-    EXPECT_EQ(count, 100u) << value.ToString();
+  for (const GroupRow& group : groups) {
+    const uint64_t count =
+        static_cast<uint64_t>(group.aggregates[0].int64());
+    EXPECT_EQ(count, 200u) << group.group.ToString();
     total += count;
   }
   EXPECT_EQ(total, 1000u);
+  EXPECT_TRUE(
+      QueryEngine::GroupByRows(*r, "K", {AggregateSpec::Count()}, nullptr)
+          .status()
+          .IsInvalidArgument());
 }
 
 TEST(GroupBy, SumMatchesNaiveAggregation) {
   auto r = testing::RandomFdTable(3000, 30, 5);
-  auto sums = GroupBySum(*r, "K", "V").ValueOrDie();
+  auto sums =
+      QueryEngine::GroupByRows(*r, "K", {AggregateSpec::Sum("V")}, nullptr)
+          .ValueOrDie();
   // Naive oracle over materialized rows.
   std::map<Value, double> expected;
   for (const Row& row : r->Materialize()) {
     expected[row[0]] += static_cast<double>(row[1].int64());
   }
   ASSERT_EQ(sums.size(), expected.size());
-  for (const auto& [value, sum] : sums) {
-    EXPECT_DOUBLE_EQ(sum, expected.at(value)) << value.ToString();
+  for (const GroupRow& group : sums) {
+    EXPECT_DOUBLE_EQ(group.aggregates[0].dbl(), expected.at(group.group))
+        << group.group.ToString();
   }
 }
 
 TEST(GroupBy, SumRejectsStringMeasure) {
   auto r = testing::Figure1TableR();
-  EXPECT_TRUE(GroupBySum(*r, "Employee", "Skill").status().IsTypeError());
+  EXPECT_TRUE(QueryEngine::GroupByRows(*r, "Employee",
+                                       {AggregateSpec::Sum("Skill")}, nullptr)
+                  .status()
+                  .IsTypeError());
 }
 
 }  // namespace

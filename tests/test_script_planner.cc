@@ -210,21 +210,6 @@ TEST(PlannedExecution, BitIdenticalToSerialApplyAll) {
   }
 }
 
-TEST(PlannedExecution, ApplyAllRoutesThroughPlannerWhenEnabled) {
-  std::vector<Smo> script = MixedScript();
-  auto serial_catalog = TwoTableCatalog();
-  EvolutionEngine serial(serial_catalog.get());
-  ASSERT_TRUE(serial.ApplyAll(script).ok());
-
-  auto catalog = TwoTableCatalog();
-  EngineOptions options;
-  options.plan_scripts = true;
-  options.num_threads = 4;
-  EvolutionEngine engine(catalog.get(), nullptr, options);
-  ASSERT_TRUE(engine.ApplyAll(script).ok());
-  ExpectCatalogsIdentical(*serial_catalog, *catalog, "plan_scripts");
-}
-
 TEST(PlannedExecution, FailureCommitsExactlyTheSerialPrefix) {
   // Operator 1 fails (missing table). Serial ApplyAll stops there; the
   // planner must commit the same prefix — and discard the effects of

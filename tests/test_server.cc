@@ -500,26 +500,47 @@ TEST(Admission, BoundedQueueBackpressureAndDrain) {
 
 // ---- Loopback integration -------------------------------------------------
 
-// An in-process server over a seeded in-memory catalog.
+// An in-process server over a DurableDb in a fresh temp directory,
+// seeded the way `cods_shell .load` loads tables: a raw versions()->Apply
+// per table, then a checkpoint (loads are not WAL-replayable).
 struct TestServer {
   explicit TestServer(server::ServerOptions options = {},
                       bool with_big_table = false) {
-    Catalog seed;
-    CODS_CHECK_OK(seed.AddTable(testing::Figure1TableR()));
+    static std::atomic<int> instances{0};
+    dir = ::testing::TempDir() + "cods_test_server_" +
+          std::to_string(::getpid()) + "_" + std::to_string(instances++);
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+    auto opened = DurableDb::Open(Env::Default(), dir);
+    CODS_CHECK(opened.ok()) << opened.status().ToString();
+    db = std::move(opened).ValueOrDie();
+
+    std::vector<std::shared_ptr<const Table>> seed = {
+        testing::Figure1TableR()};
     if (with_big_table) {
       WorkloadSpec spec;
       spec.num_rows = 20'000;
       spec.num_distinct = 2'000;
       auto big = GenerateEvolutionTable(spec, "B");
       CODS_CHECK(big.ok()) << big.status().ToString();
-      CODS_CHECK_OK(seed.AddTable(big.ValueOrDie()));
+      seed.push_back(big.ValueOrDie());
     }
-    catalog.Reset(seed);
+    for (const auto& table : seed) {
+      CODS_CHECK_OK(db->versions()->Apply(
+          [&](TableStore& store) { return store.AddTable(table); }));
+    }
+    CODS_CHECK_OK(db->Checkpoint());
     options.port = 0;
-    srv = std::make_unique<server::Server>(&catalog, options);
+    srv = std::make_unique<server::Server>(db.get(), options);
     CODS_CHECK_OK(srv->Start());
   }
-  ~TestServer() { srv->Shutdown(); }
+  ~TestServer() {
+    srv->Shutdown();
+    srv.reset();
+    db.reset();
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+  }
 
   std::unique_ptr<Client> Connect() {
     auto client = Client::Connect("127.0.0.1", srv->port());
@@ -527,7 +548,8 @@ struct TestServer {
     return std::move(client).ValueOrDie();
   }
 
-  VersionedCatalog catalog;
+  std::string dir;
+  std::unique_ptr<DurableDb> db;
   std::unique_ptr<server::Server> srv;
 };
 
