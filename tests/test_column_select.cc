@@ -1,10 +1,13 @@
-// Tests for native bitmap-index selection on the column store, verified
-// against naive row-at-a-time filtering.
+// Single-table selections on the column store: comparison, IN and
+// conjunction predicates evaluated through EvalExpr and the table-level
+// QueryEngine entry points, checked on Figure 1's R and against a naive
+// row-at-a-time scan.
 
-#include "query/column_select.h"
-#include "storage/value_compare.h"
+#include "query/expr.h"
+#include "query/query_engine.h"
 
 #include "gtest/gtest.h"
+#include "storage/value_compare.h"
 #include "test_util.h"
 #include "workload/generator.h"
 
@@ -14,105 +17,78 @@ namespace {
 using ::cods::testing::Figure1TableR;
 using ::cods::testing::MakeTable;
 
-TEST(ColumnSelect, EqualityPredicate) {
-  auto r = Figure1TableR();
-  auto sel = EvalPredicate(
-                 *r, ColumnPredicate::Compare("Employee", CompareOp::kEq,
-                                              Value("Jones")))
-                 .ValueOrDie();
-  EXPECT_EQ(sel.size(), 7u);
-  EXPECT_EQ(sel.SetPositions(), (std::vector<uint64_t>{0, 1, 4}));
+ExprPtr JonesExpr() {
+  return Expr::Compare("Employee", CompareOp::kEq, Value("Jones"));
 }
 
-TEST(ColumnSelect, RangePredicateOnNumbers) {
+TEST(TableSelection, EqualityLeafSelectsMatchingPositions) {
+  auto r = Figure1TableR();
+  auto sel = EvalExpr(*r, JonesExpr());
+  ASSERT_TRUE(sel.ok()) << sel.status().ToString();
+  EXPECT_EQ(sel->size(), 7u);
+  EXPECT_EQ(sel->SetPositions(), (std::vector<uint64_t>{0, 1, 4}));
+}
+
+TEST(TableSelection, RangeAndNotEqualCountOnNumbers) {
   Schema schema({{"x", DataType::kInt64, false}});
   std::vector<Row> rows;
   for (int64_t i = 0; i < 100; ++i) rows.push_back({Value(i)});
   auto t = MakeTable("T", schema, rows);
-  auto count = CountWhere(*t, {ColumnPredicate::Compare(
-                                  "x", CompareOp::kGe, Value(int64_t{90}))})
-                   .ValueOrDie();
-  EXPECT_EQ(count, 10u);
-  count = CountWhere(*t, {ColumnPredicate::Compare("x", CompareOp::kNe,
-                                                   Value(int64_t{5}))})
-              .ValueOrDie();
-  EXPECT_EQ(count, 99u);
-}
-
-TEST(ColumnSelect, InPredicate) {
-  auto r = Figure1TableR();
-  auto count =
-      CountWhere(*r, {ColumnPredicate::In(
-                         "Employee", {Value("Ellis"), Value("Roberts")})})
-          .ValueOrDie();
-  EXPECT_EQ(count, 3u);
-}
-
-TEST(ColumnSelect, ConjunctionAndShortCircuit) {
-  auto r = Figure1TableR();
-  std::vector<ColumnPredicate> preds = {
-      ColumnPredicate::Compare("Address", CompareOp::kEq,
-                               Value("425 Grant Ave")),
-      ColumnPredicate::Compare("Skill", CompareOp::kEq,
-                               Value("Light Cleaning")),
+  auto count = [&](CompareOp op, int64_t v) {
+    return QueryEngine::CountRows(*t, Expr::Compare("x", op, Value(v)))
+        .ValueOrDie();
   };
-  EXPECT_EQ(CountWhere(*r, preds).ValueOrDie(), 1u);  // Harrison
-  preds.push_back(ColumnPredicate::Compare("Employee", CompareOp::kEq,
-                                           Value("Nobody")));
-  EXPECT_EQ(CountWhere(*r, preds).ValueOrDie(), 0u);
+  EXPECT_EQ(count(CompareOp::kGe, 90), 10u);
+  EXPECT_EQ(count(CompareOp::kNe, 5), 99u);
 }
 
-TEST(ColumnSelect, DisjunctionUnionsSelections) {
+TEST(TableSelection, InLeafCountsEveryListedValue) {
   auto r = Figure1TableR();
-  auto sel =
-      EvalDisjunction(*r, {ColumnPredicate::Compare("Employee",
-                                                    CompareOp::kEq,
-                                                    Value("Roberts")),
-                           ColumnPredicate::Compare("Employee",
-                                                    CompareOp::kEq,
-                                                    Value("Harrison"))})
-          .ValueOrDie();
-  EXPECT_EQ(sel.CountOnes(), 2u);
+  auto count = QueryEngine::CountRows(
+      *r, Expr::In("Employee", {Value("Ellis"), Value("Roberts")}));
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(*count, 3u);
 }
 
-TEST(ColumnSelect, EmptyPredicateLists) {
+TEST(TableSelection, ConjunctionNarrowsToEmpty) {
   auto r = Figure1TableR();
-  EXPECT_EQ(EvalConjunction(*r, {}).ValueOrDie().CountOnes(), 7u);
-  EXPECT_EQ(EvalDisjunction(*r, {}).ValueOrDie().CountOnes(), 0u);
+  std::vector<ExprPtr> leaves = {
+      Expr::Compare("Address", CompareOp::kEq, Value("425 Grant Ave")),
+      Expr::Compare("Skill", CompareOp::kEq, Value("Light Cleaning")),
+  };
+  EXPECT_EQ(QueryEngine::CountRows(*r, Expr::And(leaves)).ValueOrDie(),
+            1u);  // Harrison
+  leaves.push_back(
+      Expr::Compare("Employee", CompareOp::kEq, Value("Nobody")));
+  EXPECT_EQ(QueryEngine::CountRows(*r, Expr::And(leaves)).ValueOrDie(), 0u);
 }
 
-TEST(ColumnSelect, SelectWhereBuildsValidTable) {
+TEST(TableSelection, SelectBuildsValidTableAndFetchesTuples) {
   auto r = Figure1TableR();
-  auto jones = SelectWhere(*r,
-                           {ColumnPredicate::Compare(
-                               "Employee", CompareOp::kEq, Value("Jones"))},
-                           "Jones")
-                   .ValueOrDie();
-  EXPECT_EQ(jones->rows(), 3u);
-  EXPECT_TRUE(jones->ValidateInvariants().ok());
-  for (const Row& row : jones->Materialize()) {
+  auto jones = QueryEngine::SelectRows(*r, {}, JonesExpr(), "Jones");
+  ASSERT_TRUE(jones.ok()) << jones.status().ToString();
+  EXPECT_EQ((*jones)->rows(), 3u);
+  EXPECT_TRUE((*jones)->ValidateInvariants().ok());
+  for (const Row& row : (*jones)->Materialize()) {
     EXPECT_EQ(row[0], Value("Jones"));
   }
-}
 
-TEST(ColumnSelect, FetchWhereReturnsTuples) {
-  auto r = Figure1TableR();
-  auto rows = FetchWhere(*r, {ColumnPredicate::Compare(
-                                 "Skill", CompareOp::kEq,
-                                 Value("Alchemy"))})
-                  .ValueOrDie();
+  auto alchemy = QueryEngine::SelectRows(
+      *r, {}, Expr::Compare("Skill", CompareOp::kEq, Value("Alchemy")),
+      "alchemy");
+  ASSERT_TRUE(alchemy.ok()) << alchemy.status().ToString();
+  const std::vector<Row> rows = (*alchemy)->Materialize();
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0][0], Value("Ellis"));
 }
 
-TEST(ColumnSelect, MissingColumnErrors) {
+TEST(TableSelection, MissingColumnErrors) {
   auto r = Figure1TableR();
-  EXPECT_FALSE(EvalPredicate(*r, ColumnPredicate::Compare(
-                                     "Nope", CompareOp::kEq, Value("x")))
-                   .ok());
+  auto sel =
+      EvalExpr(*r, Expr::Compare("Nope", CompareOp::kEq, Value("x")));
+  ASSERT_FALSE(sel.ok());
+  EXPECT_NE(sel.status().message().find("Nope"), std::string::npos);
 }
-
-// ---- Property: bitmap selection equals naive filtering on random data.
 
 struct SelectParam {
   uint64_t rows;
@@ -120,22 +96,25 @@ struct SelectParam {
   int64_t threshold;
 };
 
-class ColumnSelectProperty : public ::testing::TestWithParam<SelectParam> {};
+class TableSelectionProperty : public ::testing::TestWithParam<SelectParam> {
+};
 
-TEST_P(ColumnSelectProperty, AgreesWithNaiveScan) {
+TEST_P(TableSelectionProperty, CountAgreesWithNaiveScan) {
   const SelectParam p = GetParam();
   WorkloadSpec spec;
   spec.num_rows = p.rows;
   spec.num_distinct = p.distinct;
   auto r = GenerateEvolutionTable(spec).ValueOrDie();
+  const std::vector<Row> decoded = r->Materialize();
 
   for (CompareOp op : {CompareOp::kEq, CompareOp::kLt, CompareOp::kGe,
                        CompareOp::kNe}) {
-    std::vector<ColumnPredicate> preds = {
-        ColumnPredicate::Compare(kKeyColumn, op, Value(p.threshold))};
-    uint64_t fast = CountWhere(*r, preds).ValueOrDie();
+    uint64_t fast =
+        QueryEngine::CountRows(
+            *r, Expr::Compare(kKeyColumn, op, Value(p.threshold)))
+            .ValueOrDie();
     uint64_t naive = 0;
-    for (const Row& row : r->Materialize()) {
+    for (const Row& row : decoded) {
       if (EvalCompare(row[0], op, Value(p.threshold))) ++naive;
     }
     EXPECT_EQ(fast, naive) << CompareOpToString(op);
@@ -143,7 +122,7 @@ TEST_P(ColumnSelectProperty, AgreesWithNaiveScan) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Grid, ColumnSelectProperty,
+    Grid, TableSelectionProperty,
     ::testing::Values(SelectParam{100, 10, 5}, SelectParam{1000, 50, 25},
                       SelectParam{5000, 500, 100},
                       SelectParam{5000, 500, -1},
