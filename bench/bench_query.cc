@@ -179,9 +179,9 @@ std::shared_ptr<const Table> CachedContingencyTable() {
       k[r] = static_cast<Vid>(
           rng.Uniform(0, static_cast<int64_t>(kDistinct) - 1));
     }
-    Schema schema({{"P", DataType::kInt64, false},
-                   {"V", DataType::kInt64, false},
-                   {"K", DataType::kInt64, false}},
+    Schema schema({{"P", DataType::kInt64},
+                   {"V", DataType::kInt64},
+                   {"K", DataType::kInt64}},
                   {});
     std::vector<std::shared_ptr<const Column>> cols = {
         Column::FromVids(DataType::kInt64, std::move(p_dict), p),
@@ -375,7 +375,9 @@ void BM_Query_PointProject(benchmark::State& state) {
   auto fresh = [&] {
     std::vector<std::shared_ptr<const Column>> cols;
     for (size_t i = 0; i < r->num_columns(); ++i) {
-      cols.push_back(r->column(i)->WithEncoding(ColumnEncoding::kWahBitmap));
+      const Column& c = *r->column(i);
+      cols.push_back(Column::FromValueBitmaps(c.type(), c.dict(),
+                                              c.bitmaps(), c.rows()));
     }
     return Table::Make(r->name(), r->schema(), std::move(cols), r->rows())
         .ValueOrDie();

@@ -42,7 +42,7 @@ void RunSmo(benchmark::State& state, const Smo& smo, int threads = 0) {
 }
 
 void BM_Smo_CreateTable(benchmark::State& state) {
-  Schema schema({{"a", DataType::kInt64, false}});
+  Schema schema({{"a", DataType::kInt64}});
   RunSmo(state, Smo::CreateTable("New", schema));
 }
 
@@ -110,7 +110,7 @@ void BM_Smo_MergeTables(benchmark::State& state) {
 }
 
 void BM_Smo_AddColumn(benchmark::State& state) {
-  RunSmo(state, Smo::AddColumn("R", {"New", DataType::kInt64, false},
+  RunSmo(state, Smo::AddColumn("R", {"New", DataType::kInt64},
                                Value(int64_t{0})));
 }
 

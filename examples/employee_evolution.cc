@@ -19,8 +19,8 @@ using namespace cods;
 namespace {
 
 std::shared_ptr<const Table> InitialEmployeeTable() {
-  Schema schema({{"Employee", DataType::kString, false},
-                 {"Skill", DataType::kString, false}},
+  Schema schema({{"Employee", DataType::kString},
+                 {"Skill", DataType::kString}},
                 {});
   TableBuilder builder("R", schema);
   const char* rows[][2] = {
@@ -64,7 +64,7 @@ int main() {
       addresses.push_back(AddressOf(scanner.GetRow(row)[0]));
     }
     auto with_addr = AddColumnWithDataOp(
-        *r, {"Address", DataType::kString, false}, addresses);
+        *r, {"Address", DataType::kString}, addresses);
     CODS_CHECK_OK(with_addr.status());
     catalog.PutTable(with_addr.ValueOrDie());
   }

@@ -25,11 +25,11 @@ namespace {
 
 std::shared_ptr<const Table> BuildSales(uint64_t rows) {
   Rng rng(7);
-  Schema schema({{"OrderId", DataType::kInt64, false},
-                 {"Product", DataType::kInt64, false},
-                 {"Category", DataType::kInt64, false},
-                 {"Region", DataType::kInt64, false},
-                 {"Amount", DataType::kInt64, false}},
+  Schema schema({{"OrderId", DataType::kInt64},
+                 {"Product", DataType::kInt64},
+                 {"Category", DataType::kInt64},
+                 {"Region", DataType::kInt64},
+                 {"Amount", DataType::kInt64}},
                 {"OrderId"});
   TableBuilder builder("Sales", schema);
   constexpr int64_t kProducts = 500;

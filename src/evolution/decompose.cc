@@ -20,35 +20,21 @@ Result<std::vector<uint64_t>> DistinctionPositions(
   std::vector<uint64_t> positions;
   if (key_columns.size() == 1) {
     CODS_ASSIGN_OR_RETURN(auto col, table.ColumnByName(key_columns[0]));
-    if (col->encoding() == ColumnEncoding::kRle) {
-      // RLE fast path: first occurrence per value off the run list,
-      // O(#runs).
-      std::vector<bool> seen(col->distinct_count(), false);
-      uint64_t offset = 0;
-      for (const RleVector::Run& run : col->rle().runs()) {
-        if (!seen[run.value]) {
-          seen[run.value] = true;
-          positions.push_back(offset);
-        }
-        offset += run.length;
-      }
-    } else {
-      // Single-attribute key: the bitmap index *is* the distinct-value
-      // index. One representative per value = first set bit per bitmap;
-      // never decompresses. The per-vid probes are independent, so they
-      // run in parallel into a pre-sized slot array that is compacted in
-      // vid order (the sort below erases any ordering effect anyway).
-      std::vector<uint64_t> first(col->distinct_count());
-      Status st = ParallelFor(
-          exec, 0, col->distinct_count(), 64, [&](uint64_t vid) {
-            first[vid] = col->bitmap(static_cast<Vid>(vid)).FirstSetBit();
-            return Status::OK();
-          });
-      CODS_CHECK(st.ok()) << st.ToString();
-      positions.reserve(col->distinct_count());
-      for (uint64_t f : first) {
-        if (f < table.rows()) positions.push_back(f);
-      }
+    // Single-attribute key: the bitmap index *is* the distinct-value
+    // index. One representative per value = first set bit per bitmap;
+    // never decompresses. The per-vid probes are independent, so they
+    // run in parallel into a pre-sized slot array that is compacted in
+    // vid order (the sort below erases any ordering effect anyway).
+    std::vector<uint64_t> first(col->distinct_count());
+    Status st = ParallelFor(
+        exec, 0, col->distinct_count(), 64, [&](uint64_t vid) {
+          first[vid] = col->bitmap(static_cast<Vid>(vid)).FirstSetBit();
+          return Status::OK();
+        });
+    CODS_CHECK(st.ok()) << st.ToString();
+    positions.reserve(col->distinct_count());
+    for (uint64_t f : first) {
+      if (f < table.rows()) positions.push_back(f);
     }
   } else {
     // Composite key: sequential scan with a hash on vid tuples.
@@ -232,33 +218,11 @@ Result<DecomposeResult> CodsDecompose(
       CODS_ASSIGN_OR_RETURN(size_t idx, r.schema().ColumnIndex(name));
       specs.push_back(r.schema().column(idx));
       const Column& src = *r.column(idx);
-      if (src.encoding() == ColumnEncoding::kRle) {
-        // RLE-native filtering: two-pointer walk over (runs, positions)
-        // emits the filtered sequence as runs; the output keeps the RLE
-        // encoding (sortedness is preserved by position filtering).
-        RleVector out;
-        size_t i = 0;
-        uint64_t offset = 0;
-        for (const RleVector::Run& run : src.rle().runs()) {
-          uint64_t end = offset + run.length;
-          uint64_t taken = 0;
-          while (i < positions.size() && positions[i] < end) {
-            ++i;
-            ++taken;
-          }
-          out.AppendRun(run.value, taken);
-          offset = end;
-        }
-        cols.push_back(Column::FromRle(src.type(), src.dict(),
-                                       std::move(out)));
-        continue;
-      }
       // Per-value filtering is independent: one shared read-only rank
       // index, one output slot per vid (inside FilterColumnBitmaps).
       ExecContext exec = ResolveContext(options.exec);
-      CODS_ASSIGN_OR_RETURN(
-          auto filtered_col,
-          FilterColumnBitmaps(exec, src, filter, "DECOMPOSE"));
+      CODS_ASSIGN_OR_RETURN(auto filtered_col,
+                            FilterColumnBitmaps(exec, src, filter));
       cols.push_back(std::move(filtered_col));
     }
     CODS_ASSIGN_OR_RETURN(Schema g_schema,

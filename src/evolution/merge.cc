@@ -84,14 +84,6 @@ Result<std::shared_ptr<const Table>> CodsMergeKeyFk(
     const std::vector<std::string>& join_columns,
     const std::vector<std::string>& out_key, const std::string& out_name,
     EvolutionObserver* observer, const ExecContext* ctx) {
-  if (auto s2 = ReencodeRleToWah(s)) {
-    return CodsMergeKeyFk(*s2, t, join_columns, out_key, out_name,
-                          observer, ctx);
-  }
-  if (auto t2 = ReencodeRleToWah(t)) {
-    return CodsMergeKeyFk(s, *t2, join_columns, out_key, out_name,
-                          observer, ctx);
-  }
   ExecContext exec = ResolveContext(ctx);
   const std::string op = "MERGE " + s.name() + "⋈" + t.name();
   CODS_ASSIGN_OR_RETURN(std::vector<size_t> sj,
@@ -244,14 +236,6 @@ Result<std::shared_ptr<const Table>> CodsMergeGeneral(
     const std::vector<std::string>& join_columns,
     const std::vector<std::string>& out_key, const std::string& out_name,
     EvolutionObserver* observer, const ExecContext* ctx) {
-  if (auto s2 = ReencodeRleToWah(s)) {
-    return CodsMergeGeneral(*s2, t, join_columns, out_key, out_name,
-                            observer, ctx);
-  }
-  if (auto t2 = ReencodeRleToWah(t)) {
-    return CodsMergeGeneral(s, *t2, join_columns, out_key, out_name,
-                            observer, ctx);
-  }
   ExecContext exec = ResolveContext(ctx);
   const std::string op = "MERGE(general) " + s.name() + "⋈" + t.name();
   CODS_ASSIGN_OR_RETURN(std::vector<size_t> sj,

@@ -18,30 +18,6 @@ Result<std::shared_ptr<const Table>> MakeEmptyTable(const std::string& name,
   return Table::Make(name, schema, std::move(cols), 0);
 }
 
-std::shared_ptr<const Table> ReencodeRleToWah(const Table& table) {
-  bool any = false;
-  for (size_t i = 0; i < table.num_columns(); ++i) {
-    if (table.column(i)->encoding() == ColumnEncoding::kRle) {
-      any = true;
-      break;
-    }
-  }
-  if (!any) return nullptr;
-  std::vector<std::shared_ptr<const Column>> cols;
-  cols.reserve(table.num_columns());
-  for (size_t i = 0; i < table.num_columns(); ++i) {
-    const auto& col = table.column(i);
-    cols.push_back(col->encoding() == ColumnEncoding::kRle
-                       ? std::shared_ptr<const Column>(
-                             col->WithEncoding(ColumnEncoding::kWahBitmap))
-                       : col);
-  }
-  auto table_result = Table::Make(table.name(), table.schema(),
-                                  std::move(cols), table.rows());
-  CODS_CHECK(table_result.ok()) << table_result.status().ToString();
-  return table_result.ValueOrDie();
-}
-
 Result<std::shared_ptr<const Table>> CopyTableOp(const Table& src,
                                                  const std::string& name,
                                                  bool deep) {
@@ -52,14 +28,9 @@ Result<std::shared_ptr<const Table>> CopyTableOp(const Table& src,
   std::vector<std::shared_ptr<const Column>> cols;
   for (size_t i = 0; i < src.num_columns(); ++i) {
     const Column& c = *src.column(i);
-    if (c.encoding() == ColumnEncoding::kWahBitmap) {
-      std::vector<ValueBitmap> copies = c.bitmaps();  // value copy
-      cols.push_back(Column::FromValueBitmaps(c.type(), c.dict(),
-                                              std::move(copies), c.rows()));
-    } else {
-      cols.push_back(Column::FromVidsRle(c.type(), c.dict(),
-                                         c.DecodeVids()));
-    }
+    std::vector<ValueBitmap> copies = c.bitmaps();  // value copy
+    cols.push_back(Column::FromValueBitmaps(c.type(), c.dict(),
+                                            std::move(copies), c.rows()));
   }
   return Table::Make(name, src.schema(), std::move(cols), src.rows());
 }
@@ -70,12 +41,6 @@ Result<std::shared_ptr<const Table>> UnionTablesOp(
   if (!a.schema().SameLayout(b.schema())) {
     return Status::InvalidArgument(
         "UNION TABLES requires identical column names and types");
-  }
-  if (auto a2 = ReencodeRleToWah(a)) {
-    return UnionTablesOp(*a2, b, name, observer, ctx);
-  }
-  if (auto b2 = ReencodeRleToWah(b)) {
-    return UnionTablesOp(a, *b2, name, observer, ctx);
   }
   ExecContext exec = ResolveContext(ctx);
   const std::string op = "UNION " + a.name() + "∪" + b.name();
@@ -91,11 +56,6 @@ Result<std::shared_ptr<const Table>> UnionTablesOp(
       exec, 0, a.num_columns(), 1, [&](uint64_t i) -> Status {
         const Column& ca = *a.column(i);
         const Column& cb = *b.column(i);
-        if (ca.encoding() != ColumnEncoding::kWahBitmap ||
-            cb.encoding() != ColumnEncoding::kWahBitmap) {
-          return Status::InvalidArgument(
-              "UNION TABLES requires WAH-encoded columns");
-        }
         // Output dictionary: a's values first, then b's new values.
         Dictionary dict = ca.dict();
         std::vector<Vid> b_to_out(cb.distinct_count());
@@ -140,10 +100,6 @@ Result<PartitionResult> PartitionTableOp(
     const Table& src, const std::string& name1, const std::string& name2,
     const std::string& column, CompareOp op, const Value& literal,
     EvolutionObserver* observer, const ExecContext* ctx) {
-  if (auto converted = ReencodeRleToWah(src)) {
-    return PartitionTableOp(*converted, name1, name2, column, op, literal,
-                            observer, ctx);
-  }
   ExecContext exec = ResolveContext(ctx);
   const std::string opname = "PARTITION " + src.name();
   CODS_ASSIGN_OR_RETURN(auto pred_col, src.ColumnByName(column));
@@ -175,8 +131,7 @@ Result<PartitionResult> PartitionTableOp(
     CODS_RETURN_NOT_OK(ParallelFor(
         exec, 0, src.num_columns(), 1, [&](uint64_t i) -> Status {
           CODS_ASSIGN_OR_RETURN(
-              cols[i], FilterColumnBitmaps(exec, *src.column(i), filter,
-                                           "PARTITION TABLE"));
+              cols[i], FilterColumnBitmaps(exec, *src.column(i), filter));
           return Status::OK();
         }));
     return Table::Make(name, src.schema(), std::move(cols),

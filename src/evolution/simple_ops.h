@@ -22,12 +22,6 @@ namespace cods {
 Result<std::shared_ptr<const Table>> MakeEmptyTable(const std::string& name,
                                                     const Schema& schema);
 
-/// Returns a copy of `table` whose RLE columns are re-encoded as WAH
-/// bitmaps (bitmap columns are shared untouched), or nullptr when no
-/// column needed conversion. The bitmap-domain operators use this to
-/// accept tables with sorted (RLE) columns transparently.
-std::shared_ptr<const Table> ReencodeRleToWah(const Table& table);
-
 /// Copies `src` under a new name. With `deep` the bitmap storage is
 /// physically duplicated (real data movement); otherwise the immutable
 /// columns are shared, making the copy O(#columns).

@@ -17,7 +17,6 @@ std::string FormatSchemaForScript(const Schema& schema) {
     out += schema.column(i).name;
     out += " ";
     out += DataTypeToString(schema.column(i).type);
-    if (schema.column(i).sorted) out += " SORTED";
   }
   if (!schema.key().empty()) {
     out += ", KEY(" + Join(schema.key(), ", ") + ")";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 
 #include "bitmap/codec.h"
 #include "common/logging.h"
@@ -80,11 +81,7 @@ std::vector<WahBitmap> BuildValueBitmaps(const ExecContext& ctx,
 
 Result<std::shared_ptr<const Column>> FilterColumnBitmaps(
     const ExecContext& ctx, const Column& column,
-    const WahPositionFilter& filter, const std::string& op_name) {
-  if (column.encoding() != ColumnEncoding::kWahBitmap) {
-    return Status::InvalidArgument(op_name +
-                                   " requires WAH-encoded columns");
-  }
+    const WahPositionFilter& filter) {
   std::vector<ValueBitmap> filtered(column.distinct_count());
   CODS_RETURN_NOT_OK(
       ParallelFor(ctx, 0, column.distinct_count(), 16, [&](uint64_t v) {
@@ -132,9 +129,6 @@ std::shared_ptr<const Column> GatherPresentValues(const ExecContext& ctx,
 Result<std::shared_ptr<const Column>> ProjectPresentValues(
     const ExecContext& ctx, const Column& column, const ValueBitmap& selection,
     const WahPositionFilter* filter, const std::vector<Vid>* candidates) {
-  if (column.encoding() != ColumnEncoding::kWahBitmap) {
-    return Status::InvalidArgument("SELECT requires WAH-encoded columns");
-  }
   const uint64_t rows = selection.CountOnes();
   if (filter == nullptr) {
     const PackedVids& map = column.RowVidMap();
@@ -196,7 +190,6 @@ std::shared_ptr<Column> Column::FromVids(DataType type, Dictionary dict,
                                          const ExecContext* ctx) {
   auto col = std::shared_ptr<Column>(new Column());
   col->type_ = type;
-  col->encoding_ = ColumnEncoding::kWahBitmap;
   col->rows_ = vids.size();
   const ExecContext& exec = ResolveContext(ctx);
   col->bitmaps_ = EncodeValueBitmaps(
@@ -218,9 +211,6 @@ std::shared_ptr<Column> Column::FromBitmaps(DataType type, Dictionary dict,
 }
 
 std::vector<Vid> Column::DecodeVids(const ExecContext* ctx) const {
-  if (encoding_ == ColumnEncoding::kRle) {
-    return rle_.Decode();
-  }
   std::vector<Vid> out(rows_, 0);
   // Value bitmaps partition the row set, so the per-vid writes target
   // disjoint positions — safe to run concurrently, identical result.
@@ -252,17 +242,6 @@ Status Table::ValidateInvariants(const ExecContext* ctx) const {
 }
 
 Status Column::ValidateInvariants(const ExecContext* ctx) const {
-  if (encoding_ == ColumnEncoding::kRle) {
-    if (rle_.size() != rows_) {
-      return Status::Corruption("RLE length != row count");
-    }
-    for (const RleVector::Run& r : rle_.runs()) {
-      if (r.value >= dict_.size()) {
-        return Status::Corruption("RLE vid outside dictionary");
-      }
-    }
-    return Status::OK();
-  }
   if (bitmaps_.size() != dict_.size()) {
     return Status::Corruption("bitmap count != dictionary size");
   }

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "bitmap/wah_bitmap.h"
@@ -48,12 +47,11 @@ std::vector<WahBitmap> BuildValueBitmaps(const ExecContext& ctx,
 /// full source dictionary, zero-count values included — the
 /// position-filtering shape of PARTITION TABLE, DECOMPOSE and JOIN,
 /// whose outputs are catalog tables: their dictionaries are part of the
-/// checkpoint image and of bit-identical WAL replay. Requires a
-/// WAH-encoded column; `op_name` labels the error otherwise.
-/// Bit-identical at every thread count.
+/// checkpoint image and of bit-identical WAL replay. Bit-identical at
+/// every thread count.
 Result<std::shared_ptr<const Column>> FilterColumnBitmaps(
     const ExecContext& ctx, const Column& column,
-    const WahPositionFilter& filter, const std::string& op_name);
+    const WahPositionFilter& filter);
 
 /// The result column whose row i holds `vids[i]` (vids of `column`). Its
 /// dictionary keeps only the values present, in source-vid order, so the

@@ -1,13 +1,13 @@
 #include "exec/task_graph.h"
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <memory>
 #include <mutex>
 
 #include "common/logging.h"
+#include "common/stopwatch.h"
 #include "exec/thread_pool.h"
 
 namespace cods {
@@ -141,14 +141,11 @@ void TaskGraph::ExecuteTask(RunState* st, int id) {
                                      " did not succeed");
     st->skipped.fetch_add(1, std::memory_order_relaxed);
   } else {
-    // cods-lint: allow(wall-clock): per-task runtime feeds TaskGraphStats
-    // only; it never influences scheduling order or results.
-    auto t0 = std::chrono::steady_clock::now();
+    // Per-task runtime feeds TaskGraphStats only; it never influences
+    // scheduling order or results.
+    const Stopwatch task_clock;
     statuses_[i] = tasks_[i].fn();
-    // cods-lint: allow(wall-clock): stats only, see above.
-    st->seconds[i] = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
+    st->seconds[i] = task_clock.ElapsedSeconds();
     st->ran.fetch_add(1, std::memory_order_relaxed);
   }
   st->in_flight.fetch_sub(1, std::memory_order_relaxed);
@@ -191,8 +188,7 @@ Status TaskGraph::Run(const ExecContext& ctx) {
   stats_.threads = ctx.num_threads();
   stats_.max_parallel = 0;
   if (n == 0) return Status::OK();
-  // cods-lint: allow(wall-clock): wall time feeds TaskGraphStats only.
-  const auto wall0 = std::chrono::steady_clock::now();
+  const Stopwatch wall_clock;  // feeds TaskGraphStats only
 
   // Cycle check (Kahn's algorithm) before anything executes: a cyclic
   // graph would otherwise stall with a permanently empty ready queue.
@@ -250,10 +246,7 @@ Status TaskGraph::Run(const ExecContext& ctx) {
   stats_.max_parallel = st->max_parallel.load(std::memory_order_relaxed);
   stats_.task_seconds = 0;
   for (double s : st->seconds) stats_.task_seconds += s;
-  // cods-lint: allow(wall-clock): wall time feeds TaskGraphStats only.
-  stats_.wall_seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - wall0)
-                            .count();
+  stats_.wall_seconds = wall_clock.ElapsedSeconds();
 
   for (size_t i = 0; i < n; ++i) {
     if (!statuses_[i].ok()) {

@@ -108,11 +108,8 @@ Result<std::shared_ptr<const Table>> RowsToColumnTable(
         for (const Row& row : rows) {
           vids.push_back(dict.GetOrInsert(row[i]));
         }
-        columns[i] = spec.sorted
-                         ? Column::FromVidsRle(spec.type, std::move(dict),
-                                               vids)
-                         : Column::FromVids(spec.type, std::move(dict),
-                                            vids, &exec);
+        columns[i] =
+            Column::FromVids(spec.type, std::move(dict), vids, &exec);
         return Status::OK();
       }));
   return Table::Make(name, schema, std::move(columns), rows.size());

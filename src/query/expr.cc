@@ -277,11 +277,6 @@ Result<WahBitmap> EvalLeafBitmap(const Table& table, const Expr& leaf) {
   // References bind loosely: exact name, unique qualified suffix, or
   // `<table>.<col>` of the probed table (cross-table WHERE clauses).
   CODS_ASSIGN_OR_RETURN(auto col, table.ColumnByRef(inner->column));
-  if (col->encoding() != ColumnEncoding::kWahBitmap) {
-    return Status::InvalidArgument(
-        "predicates require a WAH-encoded column; re-encode '" +
-        inner->column + "' first");
-  }
   std::vector<const ValueBitmap*> qualifying;
   for (Vid vid : MatchingVids(*col, *inner)) {
     qualifying.push_back(&col->bitmap(vid));

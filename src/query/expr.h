@@ -101,8 +101,8 @@ std::vector<Vid> MatchingVids(const Column& column, const Expr& leaf);
 
 /// Evaluates `expr` to a selection bitmap of length table.rows().
 /// Normalizes, evaluates every leaf in parallel on `ctx`, and combines
-/// with the k-way kernels. Unknown columns and non-WAH-encoded columns
-/// error; the first error in leaf order wins at every thread count.
+/// with the k-way kernels. Unknown columns error; the first error in
+/// leaf order wins at every thread count.
 Result<WahBitmap> EvalExpr(const Table& table, const ExprPtr& expr,
                            const ExecContext* ctx = nullptr);
 

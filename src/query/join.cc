@@ -14,29 +14,6 @@ namespace cods {
 
 namespace {
 
-// WAH copy of `table` when any column is RLE-encoded; nullptr when it
-// is already fully bitmap-encoded. (Query-layer twin of the evolution
-// layer's ReencodeRleToWah — query/ does not include evolution/.)
-std::shared_ptr<const Table> ReencodeToWah(const Table& table) {
-  bool any_rle = false;
-  for (size_t i = 0; i < table.num_columns(); ++i) {
-    if (table.column(i)->encoding() != ColumnEncoding::kWahBitmap) {
-      any_rle = true;
-      break;
-    }
-  }
-  if (!any_rle) return nullptr;
-  std::vector<std::shared_ptr<const Column>> cols;
-  cols.reserve(table.num_columns());
-  for (size_t i = 0; i < table.num_columns(); ++i) {
-    cols.push_back(table.column(i)->WithEncoding(ColumnEncoding::kWahBitmap));
-  }
-  auto rebuilt =
-      Table::Make(table.name(), table.schema(), std::move(cols), table.rows());
-  CODS_CHECK(rebuilt.ok()) << rebuilt.status().ToString();
-  return rebuilt.ValueOrDie();
-}
-
 // Maps every vid of `from` to the vid of the equal value in `to`, or
 // kNoVid when the value is absent there — the dictionary-level
 // vid-intersection that classifies the join before any row is touched.
@@ -124,7 +101,7 @@ Result<FkOut> FkJoin(const ExecContext& exec, const Table& scan,
         ParallelFor(exec, 0, scan.num_columns(), 1, [&](uint64_t i) -> Status {
           CODS_ASSIGN_OR_RETURN(
               out.scan_cols[i],
-              FilterColumnBitmaps(exec, *scan.column(i), filter, "JOIN"));
+              FilterColumnBitmaps(exec, *scan.column(i), filter));
           return Status::OK();
         }));
   }
@@ -336,15 +313,8 @@ Result<uint64_t> CompressedEquiJoinCount(
   CODS_CHECK(left_join < left.num_columns());
   CODS_CHECK(right_join < right.num_columns());
   CODS_RETURN_NOT_OK(CheckJoinTypes(left, right, left_join, right_join));
-  // Only the two join columns are touched; re-encode just them if RLE.
   auto lcol = left.column(left_join);
   auto rcol = right.column(right_join);
-  if (lcol->encoding() != ColumnEncoding::kWahBitmap) {
-    lcol = lcol->WithEncoding(ColumnEncoding::kWahBitmap);
-  }
-  if (rcol->encoding() != ColumnEncoding::kWahBitmap) {
-    rcol = rcol->WithEncoding(ColumnEncoding::kWahBitmap);
-  }
   bool left_unique, right_unique;
   std::vector<Match> matches =
       IntersectJoinColumns(*lcol, *rcol, &left_unique, &right_unique);
@@ -407,14 +377,6 @@ Result<std::shared_ptr<const Table>> CompressedEquiJoin(
     const Table& left, const Table& right, size_t left_join,
     size_t right_join, const std::string& out_name, const ExecContext* ctx,
     JoinStats* stats) {
-  if (auto l2 = ReencodeToWah(left)) {
-    return CompressedEquiJoin(*l2, right, left_join, right_join, out_name,
-                              ctx, stats);
-  }
-  if (auto r2 = ReencodeToWah(right)) {
-    return CompressedEquiJoin(left, *r2, left_join, right_join, out_name,
-                              ctx, stats);
-  }
   CODS_CHECK(left_join < left.num_columns());
   CODS_CHECK(right_join < right.num_columns());
   const Column& lcol = *left.column(left_join);

@@ -410,9 +410,8 @@ bool AllLeafRefs(const Expr& node, Fn&& fn) {
 // conjunction per side and evaluates each on its base table. References
 // bind against the join result's schema exactly as on the built join.
 // nullopt when a root conjunct of the normalized WHERE mixes the sides,
-// a reference does not bind, a referenced column is not WAH-encoded, or
-// a side fails to evaluate — the caller then runs the materializing
-// plan.
+// a reference does not bind, or a side fails to evaluate — the caller
+// then runs the materializing plan.
 std::optional<JoinSides> PushDownJoinWhere(
     const ExprPtr& where, const Table& left, const Table& right,
     size_t right_join, const Schema& joined, const std::string& joined_name,
@@ -438,9 +437,6 @@ std::optional<JoinSides> PushDownJoinWhere(
       if (s == 1) {
         base = j - left.num_columns();
         if (base >= right_join) ++base;
-      }
-      if (tables[s]->column(base)->encoding() != ColumnEncoding::kWahBitmap) {
-        return false;
       }
       to_base.alias[ref] = tables[s]->schema().column(base).name;
       return true;
@@ -584,10 +580,7 @@ Result<std::shared_ptr<const Table>> OrderedSelect(
 
   PickedRows picked;
   if (sort_idx != kNoColumn) {
-    std::shared_ptr<const Column> sort_col = table.column(sort_idx);
-    if (sort_col->encoding() != ColumnEncoding::kWahBitmap) {
-      sort_col = sort_col->WithEncoding(ColumnEncoding::kWahBitmap);
-    }
+    const std::shared_ptr<const Column>& sort_col = table.column(sort_idx);
     std::optional<std::vector<Vid>> candidates;
     if (root != nullptr) candidates = ConstrainedVids(table, sort_idx, *root);
     picked = WalkRanks(*sort_col, desc, keep,
@@ -829,10 +822,6 @@ Result<std::vector<GroupRow>> QueryEngine::GroupByRows(
     return Status::InvalidArgument("GROUP BY needs at least one aggregate");
   }
   CODS_ASSIGN_OR_RETURN(auto group, table.ColumnByRef(group_by));
-  if (group->encoding() != ColumnEncoding::kWahBitmap) {
-    return Status::InvalidArgument(
-        "GROUP BY requires a WAH-encoded group column");
-  }
   // Resolve the measure columns, deduplicated: several aggregates over
   // one column share its per-group AND-count pass.
   std::vector<size_t> measure_idx;                        // table indices
@@ -859,10 +848,6 @@ Result<std::vector<GroupRow>> QueryEngine::GroupByRows(
         col->type() == DataType::kString) {
       return Status::TypeError(agg.ToString() +
                                " needs a numeric measure column");
-    }
-    if (col->encoding() != ColumnEncoding::kWahBitmap) {
-      return Status::InvalidArgument(
-          "aggregates require WAH-encoded measure columns");
     }
     size_t slot = kNoMeasure;
     for (size_t m = 0; m < measure_idx.size(); ++m) {

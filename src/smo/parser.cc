@@ -283,7 +283,7 @@ class Parser {
             break;
         }
       }
-      return Smo::AddColumn(table, ColumnSpec{col, type, false}, def);
+      return Smo::AddColumn(table, ColumnSpec{col, type}, def);
     }
     return Error("expected a statement (SELECT or a schema modification "
                  "operator)");
@@ -560,8 +560,8 @@ class Parser {
         CODS_ASSIGN_OR_RETURN(std::string col, ExpectIdent("column name"));
         CODS_ASSIGN_OR_RETURN(std::string type_name, ExpectIdent("type"));
         CODS_ASSIGN_OR_RETURN(DataType type, DataTypeFromString(type_name));
-        bool sorted = AcceptKeyword("SORTED");
-        specs.push_back(ColumnSpec{col, type, sorted});
+        AcceptKeyword("SORTED");  // discarded; kept so old WALs replay
+        specs.push_back(ColumnSpec{col, type});
       }
       if (AcceptSymbol(",")) continue;
       CODS_RETURN_NOT_OK(ExpectSymbol(")"));

@@ -3,8 +3,10 @@
 // vector k has bit j set iff row j holds value k. Each bit vector is held
 // behind the density-adaptive codec (bitmap/codec.h): sparse values as
 // sorted position arrays, mixed ones as the paper's WAH runs, dense ones
-// as raw bitset words, chosen deterministically per value. An optional
-// run-length encoding is used instead when the column is declared sorted.
+// as raw bitset words, chosen deterministically per value. This is the
+// only column encoding: the paper's run-length option for sorted columns
+// is subsumed by the codec, and legacy RLE images re-encode on load
+// (storage/serde.h).
 //
 // Columns are immutable once built and shared between tables via
 // shared_ptr: reusing an unchanged column during evolution (Property 1 of
@@ -24,7 +26,6 @@
 #include <vector>
 
 #include "bitmap/codec.h"
-#include "bitmap/rle.h"
 #include "bitmap/wah_bitmap.h"
 #include "common/result.h"
 #include "storage/dictionary.h"
@@ -39,36 +40,20 @@ namespace cods {
 // in exec/parallel_build.cc, one layer up.
 class ExecContext;
 
-/// Physical encoding of a column.
-enum class ColumnEncoding : uint8_t {
-  kWahBitmap = 0,  // dictionary + per-value codec bitmaps (default)
-  kRle = 1,        // dictionary + run-length-encoded vid sequence
-};
-
-const char* ColumnEncodingToString(ColumnEncoding encoding);
-
 /// An immutable column of one table.
 class Column {
  public:
-  /// Builds a WAH-bitmap column from a row-ordered vid sequence. The
-  /// bitmap compression runs on `ctx` (nullptr: default context); the
-  /// result is bit-identical at every thread count.
+  /// Builds a column from a row-ordered vid sequence. The bitmap
+  /// compression runs on `ctx` (nullptr: default context); the result is
+  /// bit-identical at every thread count.
   static std::shared_ptr<Column> FromVids(DataType type, Dictionary dict,
                                           const std::vector<Vid>& vids,
                                           const ExecContext* ctx = nullptr);
 
-  /// Builds an RLE column from a row-ordered vid sequence.
-  static std::shared_ptr<Column> FromVidsRle(DataType type, Dictionary dict,
-                                             const std::vector<Vid>& vids);
-
-  /// Builds an RLE column from an already-encoded run vector
-  /// (persistence path).
-  static std::shared_ptr<Column> FromRle(DataType type, Dictionary dict,
-                                         RleVector rle);
-
   /// Builds directly from prepared WAH bitmaps (used by the evolution
   /// operators, which emit compressed bitmaps natively on the WAH
-  /// interchange form). Each bitmap is re-encoded into its density-chosen
+  /// interchange form, and by the image loader for v1/v2 and legacy RLE
+  /// payloads). Each bitmap is re-encoded into its density-chosen
   /// codec container (on `ctx` when given — bit-identical either way,
   /// since the representation choice is a pure function of content).
   /// Every bitmap must have length `rows`, and each row must be covered
@@ -89,19 +74,14 @@ class Column {
   Column& operator=(const Column&) = delete;
 
   DataType type() const { return type_; }
-  ColumnEncoding encoding() const { return encoding_; }
   uint64_t rows() const { return rows_; }
   const Dictionary& dict() const { return dict_; }
   size_t distinct_count() const { return dict_.size(); }
 
-  /// The codec-encoded bitmap of value id `vid`. Only valid for
-  /// kWahBitmap columns.
+  /// The codec-encoded bitmap of value id `vid`.
   const ValueBitmap& bitmap(Vid vid) const;
-  /// All value bitmaps (kWahBitmap only), indexed by vid.
+  /// All value bitmaps, indexed by vid.
   const std::vector<ValueBitmap>& bitmaps() const;
-
-  /// The RLE payload. Only valid for kRle columns.
-  const RleVector& rle() const;
 
   /// Decodes the column into a row-ordered vid vector.
   /// Cost: O(rows + compressed words); bitmap decoding parallelizes over
@@ -118,18 +98,14 @@ class Column {
   /// row_vid_map_bytes), never in SizeBytes.
   const PackedVids& RowVidMap() const;
 
-  /// Value at `row` (point lookup; O(compressed words) for bitmap
-  /// encoding — use DecodeVids for scans).
+  /// Value at `row` (point lookup; O(compressed words) — use DecodeVids
+  /// for scans).
   Value GetValue(uint64_t row) const;
 
   /// Number of rows holding `vid` (popcount on the compressed bitmap).
   uint64_t ValueCount(Vid vid) const;
 
-  /// Re-encodes to the requested encoding (a copy when already so).
-  std::shared_ptr<Column> WithEncoding(ColumnEncoding encoding) const;
-
-  /// Compressed footprint of the column data (bitmaps or RLE runs) plus
-  /// the dictionary.
+  /// Compressed footprint of the value bitmaps plus the dictionary.
   uint64_t SizeBytes() const;
 
   /// Verifies structural invariants: every bitmap has length rows(); the
@@ -142,10 +118,8 @@ class Column {
   Column() = default;
 
   DataType type_ = DataType::kInt64;
-  ColumnEncoding encoding_ = ColumnEncoding::kWahBitmap;
   Dictionary dict_;
-  std::vector<ValueBitmap> bitmaps_;  // kWahBitmap: indexed by vid
-  RleVector rle_;                   // kRle
+  std::vector<ValueBitmap> bitmaps_;  // indexed by vid
   uint64_t rows_ = 0;
 
   // RowVidMap's cache: written once under the flag, then read-only.

@@ -117,7 +117,7 @@ Result<std::shared_ptr<const Table>> CsvToTableInferred(
   std::vector<ColumnSpec> specs;
   specs.reserve(arity);
   for (size_t c = 0; c < arity; ++c) {
-    specs.push_back(ColumnSpec{std::string(Trim(header[c])), types[c], false});
+    specs.push_back(ColumnSpec{std::string(Trim(header[c])), types[c]});
   }
   CODS_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(specs)));
   return ParseBody(lines, 1, table_name, schema, options);

@@ -60,10 +60,9 @@ std::string FormatTableStats(const Table& table) {
       << table.SizeBytes() << "\n";
   for (size_t c = 0; c < table.num_columns(); ++c) {
     const auto& col = table.column(c);
-    out << "  " << table.schema().column(c).name << ": "
-        << ColumnEncodingToString(col->encoding()) << ", distinct="
-        << col->distinct_count() << ", bytes=" << col->SizeBytes() << "\n";
-    if (col->encoding() != ColumnEncoding::kWahBitmap) continue;
+    out << "  " << table.schema().column(c).name
+        << ": distinct=" << col->distinct_count()
+        << ", bytes=" << col->SizeBytes() << "\n";
     // Codec detail: how the density rule distributed this column's
     // value bitmaps, and what they cost next to raw bitsets.
     uint64_t reps[3] = {0, 0, 0};

@@ -18,8 +18,8 @@ struct PrintOptions {
 /// Renders a table as an aligned ASCII grid.
 std::string FormatTable(const Table& table, const PrintOptions& options = {});
 
-/// Renders schema + storage statistics (encoding, distinct counts,
-/// compressed bytes per column).
+/// Renders schema + storage statistics (distinct counts, compressed
+/// bytes and codec representation mix per column).
 std::string FormatTableStats(const Table& table);
 
 }  // namespace cods

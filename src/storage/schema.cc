@@ -156,7 +156,6 @@ std::string Schema::ToString() const {
     out += columns_[i].name;
     out += " ";
     out += DataTypeToString(columns_[i].type);
-    if (columns_[i].sorted) out += " SORTED";
   }
   if (!key_.empty()) {
     out += ", key=(" + Join(key_, ", ") + ")";

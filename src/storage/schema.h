@@ -7,6 +7,7 @@
 #define CODS_STORAGE_SCHEMA_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -14,11 +15,20 @@
 
 namespace cods {
 
-/// Declaration of one column.
+/// Declaration of one column: a name and a type. Every column is stored
+/// the same way (storage/column.h), so there is no per-column encoding
+/// hint; the parser and the image loader discard a legacy SORTED.
 struct ColumnSpec {
+  ColumnSpec() = default;
+  ColumnSpec(std::string name, DataType type)
+      : name(std::move(name)), type(type) {}
+  /// Ignores the third argument, where the SORTED hint used to go, so
+  /// callers still spelling `{name, type, false}` compile.
+  ColumnSpec(std::string name, DataType type, bool /*ignored*/)
+      : ColumnSpec(std::move(name), type) {}
+
   std::string name;
   DataType type = DataType::kString;
-  bool sorted = false;  // hint: store run-length-encoded (§2.2)
 };
 
 /// An ordered list of column specs plus an optional key.

@@ -248,31 +248,73 @@ Result<Dictionary> ReadDictionary(BinaryReader* in) {
 
 // ---- Columns -----------------------------------------------------------------
 
+namespace {
+
+// Column encoding bytes. Every column is written as kEncodingBitmaps;
+// kEncodingLegacyRle payloads come from images written while columns
+// could be declared SORTED, and re-encode on load.
+constexpr uint8_t kEncodingBitmaps = 0;
+constexpr uint8_t kEncodingLegacyRle = 1;
+
+// Reads a legacy RLE payload, run_count:u32 (vid:u32 len:u64)*, into one
+// WAH bitmap per dictionary value. Every run is validated before any
+// bitmap is built: vids inside the dictionary, no zero-length run, and
+// lengths summing (overflow-checked) to exactly `rows`.
+Result<std::vector<WahBitmap>> ReadLegacyRlePayload(BinaryReader* in,
+                                                    uint64_t rows,
+                                                    size_t distinct) {
+  CODS_ASSIGN_OR_RETURN(uint32_t run_count, in->U32());
+  if (run_count > kMaxReasonableCount) {
+    return Status::Corruption("implausible RLE run count");
+  }
+  std::vector<std::pair<Vid, uint64_t>> runs;
+  uint64_t total = 0;
+  for (uint32_t i = 0; i < run_count; ++i) {
+    CODS_ASSIGN_OR_RETURN(uint32_t vid, in->U32());
+    CODS_ASSIGN_OR_RETURN(uint64_t length, in->U64());
+    if (vid >= distinct) {
+      return Status::Corruption("RLE vid outside dictionary");
+    }
+    if (length == 0) return Status::Corruption("zero-length RLE run");
+    if (length > rows - total) {
+      return Status::Corruption("RLE runs exceed the row count");
+    }
+    total += length;
+    runs.emplace_back(vid, length);
+  }
+  if (total != rows) {
+    return Status::Corruption("RLE length does not match row count");
+  }
+  std::vector<WahBitmap> bitmaps(distinct);
+  uint64_t offset = 0;
+  for (const auto& [vid, length] : runs) {
+    WahBitmap& bm = bitmaps[vid];
+    bm.AppendRun(false, offset - bm.size());
+    bm.AppendRun(true, length);
+    offset += length;
+  }
+  for (WahBitmap& bm : bitmaps) bm.AppendRun(false, rows - bm.size());
+  return bitmaps;
+}
+
+}  // namespace
+
 void WriteColumn(const Column& column, BinaryWriter* out, uint32_t version) {
   out->U8(static_cast<uint8_t>(column.type()));
-  out->U8(static_cast<uint8_t>(column.encoding()));
+  out->U8(kEncodingBitmaps);
   out->U64(column.rows());
   WriteDictionary(column.dict(), out);
-  if (column.encoding() == ColumnEncoding::kWahBitmap) {
-    out->U32(static_cast<uint32_t>(column.bitmaps().size()));
-    if (version >= kCodsFileVersionV3) {
-      // Each container serializes in its own representation, tagged.
-      for (const ValueBitmap& vb : column.bitmaps()) {
-        WriteValueBitmap(vb, out);
-      }
-    } else {
-      // v1/v2 images are WAH-shaped: re-encode through the interchange
-      // form so older readers stay compatible.
-      for (const ValueBitmap& vb : column.bitmaps()) {
-        WriteBitmap(vb.ToWah(), out);
-      }
+  out->U32(static_cast<uint32_t>(column.bitmaps().size()));
+  if (version >= kCodsFileVersionV3) {
+    // Each container serializes in its own representation, tagged.
+    for (const ValueBitmap& vb : column.bitmaps()) {
+      WriteValueBitmap(vb, out);
     }
   } else {
-    const RleVector& rle = column.rle();
-    out->U32(static_cast<uint32_t>(rle.NumRuns()));
-    for (const RleVector::Run& run : rle.runs()) {
-      out->U32(run.value);
-      out->U64(run.length);
+    // v1/v2 images are WAH-shaped: re-encode through the interchange
+    // form so older readers stay compatible.
+    for (const ValueBitmap& vb : column.bitmaps()) {
+      WriteBitmap(vb.ToWah(), out);
     }
   }
 }
@@ -285,30 +327,32 @@ Result<std::shared_ptr<const Column>> ReadColumn(BinaryReader* in,
                               std::to_string(type_byte));
   }
   DataType type = static_cast<DataType>(type_byte);
-  CODS_ASSIGN_OR_RETURN(uint8_t enc_byte, in->U8());
-  if (enc_byte > static_cast<uint8_t>(ColumnEncoding::kRle)) {
+  CODS_ASSIGN_OR_RETURN(uint8_t encoding, in->U8());
+  if (encoding != kEncodingBitmaps && encoding != kEncodingLegacyRle) {
     return Status::Corruption("unknown column encoding " +
-                              std::to_string(enc_byte));
+                              std::to_string(encoding));
   }
-  ColumnEncoding encoding = static_cast<ColumnEncoding>(enc_byte);
   CODS_ASSIGN_OR_RETURN(uint64_t rows, in->U64());
   CODS_ASSIGN_OR_RETURN(Dictionary dict, ReadDictionary(in));
-  if (encoding == ColumnEncoding::kWahBitmap) {
+  std::vector<WahBitmap> bitmaps;
+  if (encoding == kEncodingLegacyRle) {
+    CODS_ASSIGN_OR_RETURN(bitmaps,
+                          ReadLegacyRlePayload(in, rows, dict.size()));
+  } else {
     CODS_ASSIGN_OR_RETURN(uint32_t count, in->U32());
     if (count != dict.size()) {
       return Status::Corruption("bitmap count does not match dictionary");
     }
     if (version >= kCodsFileVersionV3) {
-      std::vector<ValueBitmap> bitmaps;
-      bitmaps.reserve(count);
+      std::vector<ValueBitmap> vbs;
+      vbs.reserve(count);
       for (uint32_t i = 0; i < count; ++i) {
         CODS_ASSIGN_OR_RETURN(ValueBitmap vb, ReadValueBitmap(in, rows));
-        bitmaps.push_back(std::move(vb));
+        vbs.push_back(std::move(vb));
       }
       return std::shared_ptr<const Column>(Column::FromValueBitmaps(
-          type, std::move(dict), std::move(bitmaps), rows));
+          type, std::move(dict), std::move(vbs), rows));
     }
-    std::vector<WahBitmap> bitmaps;
     bitmaps.reserve(count);
     for (uint32_t i = 0; i < count; ++i) {
       CODS_ASSIGN_OR_RETURN(WahBitmap bm, ReadBitmap(in));
@@ -317,31 +361,9 @@ Result<std::shared_ptr<const Column>> ReadColumn(BinaryReader* in,
       }
       bitmaps.push_back(std::move(bm));
     }
-    return std::shared_ptr<const Column>(
-        Column::FromBitmaps(type, std::move(dict), std::move(bitmaps),
-                            rows));
-  }
-  CODS_ASSIGN_OR_RETURN(uint32_t run_count, in->U32());
-  if (run_count > kMaxReasonableCount) {
-    return Status::Corruption("implausible RLE run count");
-  }
-  std::vector<RleVector::Run> runs;
-  runs.reserve(run_count);
-  for (uint32_t i = 0; i < run_count; ++i) {
-    CODS_ASSIGN_OR_RETURN(uint32_t vid, in->U32());
-    CODS_ASSIGN_OR_RETURN(uint64_t length, in->U64());
-    if (vid >= dict.size()) {
-      return Status::Corruption("RLE vid outside dictionary");
-    }
-    if (length == 0) return Status::Corruption("zero-length RLE run");
-    runs.push_back(RleVector::Run{vid, length});
-  }
-  RleVector rle = RleVector::FromRuns(runs);
-  if (rle.size() != rows) {
-    return Status::Corruption("RLE length does not match row count");
   }
   return std::shared_ptr<const Column>(
-      Column::FromRle(type, std::move(dict), std::move(rle)));
+      Column::FromBitmaps(type, std::move(dict), std::move(bitmaps), rows));
 }
 
 // ---- Schemas and tables -------------------------------------------------------
@@ -353,7 +375,7 @@ void WriteSchema(const Schema& schema, BinaryWriter* out) {
   for (const ColumnSpec& spec : schema.columns()) {
     out->Str(spec.name);
     out->U8(static_cast<uint8_t>(spec.type));
-    out->U8(spec.sorted ? 1 : 0);
+    out->U8(0);  // the removed SORTED flag
   }
 }
 
@@ -380,9 +402,9 @@ Result<Schema> ReadSchema(BinaryReader* in) {
       return Status::Corruption("unknown column type in schema");
     }
     spec.type = static_cast<DataType>(type_byte);
+    // The removed SORTED flag: 1 in legacy images, ignored.
     CODS_ASSIGN_OR_RETURN(uint8_t sorted, in->U8());
     if (sorted > 1) return Status::Corruption("bad sorted flag");
-    spec.sorted = sorted == 1;
     specs.push_back(std::move(spec));
   }
   // Schema::Make re-validates name uniqueness and key references.

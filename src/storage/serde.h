@@ -10,8 +10,9 @@
 //   footer := wal_lsn:u64 crc:u32          (version >= 2 only)
 //   table  := name:str rows:u64 schema column*
 //   schema := key_count:u32 key_name* column_count:u32 colspec*
-//   colspec:= name:str type:u8 sorted:u8
+//   colspec:= name:str type:u8 sorted:u8     sorted: written 0, read 0|1
 //   column := type:u8 encoding:u8 rows:u64 dict payload
+//                                            encoding: written 0, read 0|1
 //   dict   := count:u32 value*
 //   value  := tag:u8 (i64 | f64 | str)
 //   payload(WAH, v1/v2) := bitmap_count:u32 bitmap*
@@ -20,7 +21,8 @@
 //   vbitmap := rep:u8 (array | bitmap | bitset)     rep = BitmapRep tag
 //   array  := pos_count:u32 pos:u32*                (size = column rows)
 //   bitset := word_count:u32 word:u64*              (size = column rows)
-//   payload(RLE) := run_count:u32 (vid:u32 len:u64)*
+//   payload(RLE): read-only, re-encoded on load
+//                := run_count:u32 (vid:u32 len:u64)*  (encoding = 1)
 //
 // Version 2 (the checkpoint format, durability/checkpoint.h) appends a
 // 12-byte footer: the WAL LSN the image covers, then the MASKED CRC32C
@@ -34,6 +36,14 @@
 // that every tag is the representation ChooseBitmapRep mandates for the
 // payload's density. v1 and v2 images (WAH-shaped payloads) remain
 // readable; their bitmaps re-encode into codec containers on load.
+//
+// Columns were once declared SORTED (schema flag 1) and stored as vid
+// runs (encoding 1). Images of any version may still hold such columns:
+// the flag is ignored, and each run list is validated (vids inside the
+// dictionary, non-empty runs summing exactly to the row count) and
+// rebuilt into per-value bitmaps, so the column loads exactly as a
+// WAH payload of the same rows would. Writers emit 0 for both bytes, so
+// a re-saved legacy image holds no RLE column.
 
 #ifndef CODS_STORAGE_SERDE_H_
 #define CODS_STORAGE_SERDE_H_

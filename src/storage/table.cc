@@ -142,13 +142,8 @@ Result<std::shared_ptr<const Table>> TableBuilder::Finish() {
   columns.reserve(schema_.num_columns());
   for (size_t i = 0; i < schema_.num_columns(); ++i) {
     const ColumnSpec& spec = schema_.column(i);
-    if (spec.sorted) {
-      columns.push_back(
-          Column::FromVidsRle(spec.type, std::move(dicts_[i]), vids_[i]));
-    } else {
-      columns.push_back(
-          Column::FromVids(spec.type, std::move(dicts_[i]), vids_[i]));
-    }
+    columns.push_back(
+        Column::FromVids(spec.type, std::move(dicts_[i]), vids_[i]));
     vids_[i].clear();
     vids_[i].shrink_to_fit();
   }

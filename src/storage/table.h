@@ -96,8 +96,8 @@ class TableBuilder {
   /// Number of rows appended so far.
   uint64_t rows() const { return rows_; }
 
-  /// Finishes construction. Columns declared `sorted` are RLE-encoded,
-  /// all others get WAH bitmaps. The builder is consumed.
+  /// Finishes construction: every column is dictionary-encoded into
+  /// per-value codec bitmaps. The builder is consumed.
   Result<std::shared_ptr<const Table>> Finish();
 
  private:

@@ -16,9 +16,9 @@ Value MakeValue(uint64_t i, bool integer_values, const char* prefix) {
 
 Schema MakeRSchema(bool integer_values) {
   DataType t = integer_values ? DataType::kInt64 : DataType::kString;
-  return Schema({ColumnSpec{kKeyColumn, t, false},
-                 ColumnSpec{kPayloadColumn, t, false},
-                 ColumnSpec{kDependentColumn, t, false}},
+  return Schema({ColumnSpec{kKeyColumn, t},
+                 ColumnSpec{kPayloadColumn, t},
+                 ColumnSpec{kDependentColumn, t}},
                 {});
 }
 
@@ -72,8 +72,8 @@ Result<GeneratedPair> GenerateMergePair(const WorkloadSpec& spec,
   GeneratedPair out;
   // S(K, V): reuse R's first two columns (same trick CODS itself uses).
   {
-    Schema schema({ColumnSpec{kKeyColumn, t, false},
-                   ColumnSpec{kPayloadColumn, t, false}},
+    Schema schema({ColumnSpec{kKeyColumn, t},
+                   ColumnSpec{kPayloadColumn, t}},
                   {});
     CODS_ASSIGN_OR_RETURN(
         out.s, Table::Make(s_name, schema, {r->column(0), r->column(1)},
@@ -81,8 +81,8 @@ Result<GeneratedPair> GenerateMergePair(const WorkloadSpec& spec,
   }
   // T(K, P): one row per distinct key, in key-id order.
   {
-    Schema schema({ColumnSpec{kKeyColumn, t, false},
-                   ColumnSpec{kDependentColumn, t, false}},
+    Schema schema({ColumnSpec{kKeyColumn, t},
+                   ColumnSpec{kDependentColumn, t}},
                   {kKeyColumn});
     TableBuilder builder(t_name, schema);
     for (uint64_t key = 0; key < spec.num_distinct; ++key) {
@@ -108,8 +108,8 @@ Result<GeneratedPair> GenerateGeneralMergePair(uint64_t num_join_values,
   Rng rng(seed);
   GeneratedPair out;
   {
-    Schema schema({ColumnSpec{"J", DataType::kInt64, false},
-                   ColumnSpec{"A", DataType::kInt64, false}},
+    Schema schema({ColumnSpec{"J", DataType::kInt64},
+                   ColumnSpec{"A", DataType::kInt64}},
                   {});
     TableBuilder builder(s_name, schema);
     for (uint64_t v = 0; v < num_join_values; ++v) {
@@ -122,8 +122,8 @@ Result<GeneratedPair> GenerateGeneralMergePair(uint64_t num_join_values,
     CODS_ASSIGN_OR_RETURN(out.s, builder.Finish());
   }
   {
-    Schema schema({ColumnSpec{"J", DataType::kInt64, false},
-                   ColumnSpec{"B", DataType::kInt64, false}},
+    Schema schema({ColumnSpec{"J", DataType::kInt64},
+                   ColumnSpec{"B", DataType::kInt64}},
                   {});
     TableBuilder builder(t_name, schema);
     for (uint64_t v = 0; v < num_join_values; ++v) {

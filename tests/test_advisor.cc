@@ -21,8 +21,8 @@ TEST(Advisor, TupleBytesReflectTypesAndStringLengths) {
   EXPECT_GT(bytes, 20u);
   EXPECT_LT(bytes, 1024u);
 
-  Schema ints({{"a", DataType::kInt64, false},
-               {"b", DataType::kDouble, false}});
+  Schema ints({{"a", DataType::kInt64},
+               {"b", DataType::kDouble}});
   auto t = testing::MakeTable("t", ints, {{Value(int64_t{1}), Value(2.0)}});
   EXPECT_EQ(EstimateTupleBytes(*t), 4u + 2 * 9u);
 }

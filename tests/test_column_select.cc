@@ -30,7 +30,7 @@ TEST(TableSelection, EqualityLeafSelectsMatchingPositions) {
 }
 
 TEST(TableSelection, RangeAndNotEqualCountOnNumbers) {
-  Schema schema({{"x", DataType::kInt64, false}});
+  Schema schema({{"x", DataType::kInt64}});
   std::vector<Row> rows;
   for (int64_t i = 0; i < 100; ++i) rows.push_back({Value(i)});
   auto t = MakeTable("T", schema, rows);

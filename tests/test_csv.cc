@@ -17,9 +17,9 @@ const char kCsv[] =
     "Roberts,Light Cleaning,747 Industrial Way\n";
 
 Schema EmployeeSchema() {
-  return Schema({{"Employee", DataType::kString, false},
-                 {"Skill", DataType::kString, false},
-                 {"Address", DataType::kString, false}},
+  return Schema({{"Employee", DataType::kString},
+                 {"Skill", DataType::kString},
+                 {"Address", DataType::kString}},
                 {});
 }
 
@@ -30,22 +30,22 @@ TEST(Csv, LoadWithExplicitSchema) {
 }
 
 TEST(Csv, HeaderMismatchRejected) {
-  Schema wrong({{"X", DataType::kString, false},
-                {"Skill", DataType::kString, false},
-                {"Address", DataType::kString, false}});
+  Schema wrong({{"X", DataType::kString},
+                {"Skill", DataType::kString},
+                {"Address", DataType::kString}});
   EXPECT_FALSE(CsvToTable(kCsv, "R", wrong).ok());
 }
 
 TEST(Csv, ArityMismatchRejected) {
   EXPECT_FALSE(
       CsvToTable("a,b\n1\n", "t",
-                 Schema({{"a", DataType::kInt64, false},
-                         {"b", DataType::kInt64, false}}))
+                 Schema({{"a", DataType::kInt64},
+                         {"b", DataType::kInt64}}))
           .ok());
 }
 
 TEST(Csv, TypeErrorsSurfaceLine) {
-  Schema schema({{"a", DataType::kInt64, false}});
+  Schema schema({{"a", DataType::kInt64}});
   Status st = CsvToTable("a\n1\nxyz\n", "t", schema).status();
   EXPECT_TRUE(st.IsTypeError()) << st.ToString();
 }
@@ -109,10 +109,11 @@ TEST(Printer, ElidesRowsPastLimit) {
 TEST(Printer, StatsShowEncodingAndDistincts) {
   auto r = testing::Figure1TableR();
   std::string text = FormatTableStats(*r);
-  EXPECT_NE(text.find("WAH_BITMAP"), std::string::npos);
-  EXPECT_NE(text.find("distinct=4"), std::string::npos);  // employees
+  EXPECT_NE(text.find("Employee: distinct=4"), std::string::npos);
   // Codec detail: per-column representation mix and the global stats.
-  EXPECT_NE(text.find("reps: array="), std::string::npos);
+  // Over 7 rows the two 1-row employees are WAH and the 2- and 3-row
+  // ones bitsets.
+  EXPECT_NE(text.find("reps: array=0 wah=2 bitset=2"), std::string::npos);
   EXPECT_NE(text.find("bitset-equivalent bytes="), std::string::npos);
   EXPECT_NE(text.find("popcount cache hits="), std::string::npos);
   EXPECT_NE(text.find("row->vid maps: built="), std::string::npos);

@@ -30,7 +30,7 @@ class EngineTest : public ::testing::Test {
 };
 
 TEST_F(EngineTest, CreateAndDropTable) {
-  Schema schema({{"a", DataType::kInt64, false}});
+  Schema schema({{"a", DataType::kInt64}});
   ASSERT_TRUE(engine_->Apply(Smo::CreateTable("New", schema)).ok());
   EXPECT_TRUE(catalog_.HasTable("New"));
   EXPECT_TRUE(engine_->Apply(Smo::CreateTable("New", schema))
@@ -93,7 +93,7 @@ TEST_F(EngineTest, UnionAndPartitionRoundTrip) {
 TEST_F(EngineTest, ColumnOperators) {
   ASSERT_TRUE(engine_
                   ->Apply(Smo::AddColumn("R",
-                                         {"Grade", DataType::kInt64, false},
+                                         {"Grade", DataType::kInt64},
                                          Value(int64_t{0})))
                   .ok());
   EXPECT_EQ(catalog_.GetTable("R").ValueOrDie()->num_columns(), 4u);
@@ -124,7 +124,7 @@ TEST_F(EngineTest, ApplyAllStopsAtFirstFailure) {
 }
 
 TEST_F(EngineTest, DecomposeOutputNameCollisionRejected) {
-  Schema schema({{"x", DataType::kInt64, false}});
+  Schema schema({{"x", DataType::kInt64}});
   ASSERT_TRUE(engine_->Apply(Smo::CreateTable("S", schema)).ok());
   Smo smo = Smo::DecomposeTable("R", "S", {"Employee", "Skill"}, {}, "T",
                                 {"Employee", "Address"}, {"Employee"});
@@ -163,7 +163,7 @@ TEST_F(EngineTest, ObserverSeesSteps) {
 }
 
 TEST(SmoToString, CoversEveryKind) {
-  Schema schema({{"a", DataType::kInt64, false}});
+  Schema schema({{"a", DataType::kInt64}});
   EXPECT_NE(Smo::CreateTable("T", schema).ToString().find("CREATE TABLE T"),
             std::string::npos);
   EXPECT_EQ(Smo::DropTable("T").ToString(), "DROP TABLE T");
@@ -183,7 +183,7 @@ TEST(SmoToString, CoversEveryKind) {
   EXPECT_NE(Smo::MergeTables("S", "T", "R", {"k"}, {}).ToString().find(
                 "MERGE TABLES S, T INTO R ON (k)"),
             std::string::npos);
-  EXPECT_NE(Smo::AddColumn("R", {"c", DataType::kInt64, false},
+  EXPECT_NE(Smo::AddColumn("R", {"c", DataType::kInt64},
                            Value(int64_t{0}))
                 .ToString()
                 .find("ADD COLUMN c INT64 TO R DEFAULT 0"),

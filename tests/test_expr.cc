@@ -205,7 +205,7 @@ TEST(Expr, ComparisonNegationExactAcrossNumericTypes) {
     }
   }
   // End to end: NOT K < 3.0 on an int64 column keeps K = 3.
-  Schema schema({{"K", DataType::kInt64, false}});
+  Schema schema({{"K", DataType::kInt64}});
   std::vector<Row> rows;
   for (int64_t i = 0; i < 6; ++i) rows.push_back({Value(i)});
   auto t = MakeTable("T", schema, rows);
@@ -293,9 +293,9 @@ TEST(Expr, MatchingVidsProbeEqualsScan) {
   const double nan = std::nan("");
   const double inf = std::numeric_limits<double>::infinity();
   Rng rng(20261016);
-  Schema schema({{"I", DataType::kInt64, false},
-                 {"D", DataType::kDouble, false},
-                 {"S", DataType::kString, false}},
+  Schema schema({{"I", DataType::kInt64},
+                 {"D", DataType::kDouble},
+                 {"S", DataType::kString}},
                 {});
   // Edge values first, so each is in the dictionary; -0.0 precedes 0.0,
   // so the dictionary's zero entry is -0.0.

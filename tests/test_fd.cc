@@ -63,9 +63,9 @@ TEST(LosslessCheck, Figure1DecompositionIsLossless) {
 TEST(LosslessCheck, RejectsLossyDecomposition) {
   // Skill <-> Address share nothing functionally: splitting on Employee
   // fails when neither side is determined.
-  Schema schema({{"A", DataType::kInt64, false},
-                 {"B", DataType::kInt64, false},
-                 {"C", DataType::kInt64, false}},
+  Schema schema({{"A", DataType::kInt64},
+                 {"B", DataType::kInt64},
+                 {"C", DataType::kInt64}},
                 {});
   auto t = MakeTable(
       "X", schema,

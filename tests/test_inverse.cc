@@ -45,7 +45,7 @@ TEST(Inverse, LossyOperatorsRejected) {
 TEST(Inverse, SimpleInverses) {
   Catalog catalog;
   ASSERT_TRUE(catalog.AddTable(Figure1TableR()).ok());
-  Schema schema({{"a", DataType::kInt64, false}});
+  Schema schema({{"a", DataType::kInt64}});
 
   Smo inv = InvertSmo(Smo::CreateTable("X", schema), catalog).ValueOrDie();
   EXPECT_EQ(inv.kind, SmoKind::kDropTable);
@@ -57,7 +57,7 @@ TEST(Inverse, SimpleInverses) {
   inv = InvertSmo(Smo::CopyTable("R", "Backup"), catalog).ValueOrDie();
   EXPECT_EQ(inv.ToString(), "DROP TABLE Backup");
 
-  inv = InvertSmo(Smo::AddColumn("R", {"g", DataType::kInt64, false},
+  inv = InvertSmo(Smo::AddColumn("R", {"g", DataType::kInt64},
                                  Value(int64_t{0})),
                   catalog)
             .ValueOrDie();
@@ -135,7 +135,7 @@ TEST_F(UndoRoundTrip, DecomposeThenUndoMerges) {
 }
 
 TEST_F(UndoRoundTrip, AddColumn) {
-  ApplyAndUndo(Smo::AddColumn("R", {"g", DataType::kInt64, false},
+  ApplyAndUndo(Smo::AddColumn("R", {"g", DataType::kInt64},
                               Value(int64_t{9})));
   EXPECT_EQ(catalog_.GetTable("R").ValueOrDie()->num_columns(), 3u);
 }
@@ -157,7 +157,7 @@ TEST(EvolutionLog, RecordsAndUndoesAScript) {
       Smo::RenameTable("R", "Employees"),
       Smo::DecomposeTable("Employees", "S", {"Employee", "Skill"}, {}, "T",
                           {"Employee", "Address"}, {"Employee"}),
-      Smo::AddColumn("T", {"Zip", DataType::kInt64, false},
+      Smo::AddColumn("T", {"Zip", DataType::kInt64},
                      Value(int64_t{0})),
   };
   for (const Smo& smo : script) {

@@ -45,15 +45,15 @@ void ExpectMatchesOracle(const Table& joined, const std::vector<Row>& left,
 }
 
 Schema LeftSchema() {
-  return Schema({{"J", DataType::kInt64, false},
-                 {"A", DataType::kInt64, false},
-                 {"B", DataType::kString, false}},
+  return Schema({{"J", DataType::kInt64},
+                 {"A", DataType::kInt64},
+                 {"B", DataType::kString}},
                 {});
 }
 
 Schema RightSchema(std::vector<std::string> key = {}) {
-  return Schema({{"J", DataType::kInt64, false},
-                 {"C", DataType::kString, false}},
+  return Schema({{"J", DataType::kInt64},
+                 {"C", DataType::kString}},
                 std::move(key));
 }
 

@@ -84,10 +84,10 @@ TEST(MergeGeneral, ManyToManyCrossCounts) {
 
 TEST(MergeGeneral, PartialOverlapDropsUnmatchedValues) {
   // S has J in [0,10), T has J in [5,15): only [5,10) joins.
-  Schema s_schema({{"J", DataType::kInt64, false},
-                   {"A", DataType::kInt64, false}});
-  Schema t_schema({{"J", DataType::kInt64, false},
-                   {"B", DataType::kInt64, false}});
+  Schema s_schema({{"J", DataType::kInt64},
+                   {"A", DataType::kInt64}});
+  Schema t_schema({{"J", DataType::kInt64},
+                   {"B", DataType::kInt64}});
   TableBuilder sb("S", s_schema), tb("T", t_schema);
   for (int64_t j = 0; j < 10; ++j) {
     ASSERT_TRUE(sb.AppendRow({Value(j), Value(j * 10)}).ok());
@@ -105,10 +105,10 @@ TEST(MergeGeneral, PartialOverlapDropsUnmatchedValues) {
 }
 
 TEST(MergeGeneral, EmptyJoinResult) {
-  Schema s_schema({{"J", DataType::kInt64, false},
-                   {"A", DataType::kInt64, false}});
-  Schema t_schema({{"J", DataType::kInt64, false},
-                   {"B", DataType::kInt64, false}});
+  Schema s_schema({{"J", DataType::kInt64},
+                   {"A", DataType::kInt64}});
+  Schema t_schema({{"J", DataType::kInt64},
+                   {"B", DataType::kInt64}});
   TableBuilder sb("S", s_schema), tb("T", t_schema);
   ASSERT_TRUE(sb.AppendRow({Value(int64_t{1}), Value(int64_t{1})}).ok());
   ASSERT_TRUE(tb.AppendRow({Value(int64_t{2}), Value(int64_t{2})}).ok());
@@ -120,12 +120,12 @@ TEST(MergeGeneral, EmptyJoinResult) {
 }
 
 TEST(MergeGeneral, CompositeJoinColumns) {
-  Schema s_schema({{"J1", DataType::kInt64, false},
-                   {"J2", DataType::kString, false},
-                   {"A", DataType::kInt64, false}});
-  Schema t_schema({{"J1", DataType::kInt64, false},
-                   {"J2", DataType::kString, false},
-                   {"B", DataType::kInt64, false}});
+  Schema s_schema({{"J1", DataType::kInt64},
+                   {"J2", DataType::kString},
+                   {"A", DataType::kInt64}});
+  Schema t_schema({{"J1", DataType::kInt64},
+                   {"J2", DataType::kString},
+                   {"B", DataType::kInt64}});
   TableBuilder sb("S", s_schema), tb("T", t_schema);
   for (int64_t i = 0; i < 20; ++i) {
     ASSERT_TRUE(sb.AppendRow({Value(i % 3), Value(i % 2 ? "x" : "y"),
@@ -185,15 +185,15 @@ TEST(MergeDispatch, ForceGeneralOverridesKeyFk) {
 
 TEST(MergeDispatch, ValidateKeyCatchesFalseDeclaration) {
   // T declares key K but contains duplicates.
-  Schema t_schema({{"K", DataType::kInt64, false},
-                   {"P", DataType::kInt64, false}},
+  Schema t_schema({{"K", DataType::kInt64},
+                   {"P", DataType::kInt64}},
                   {"K"});
   TableBuilder tb("T", t_schema);
   ASSERT_TRUE(tb.AppendRow({Value(int64_t{1}), Value(int64_t{1})}).ok());
   ASSERT_TRUE(tb.AppendRow({Value(int64_t{1}), Value(int64_t{2})}).ok());
   auto t = tb.Finish().ValueOrDie();
-  Schema s_schema({{"K", DataType::kInt64, false},
-                   {"V", DataType::kInt64, false}});
+  Schema s_schema({{"K", DataType::kInt64},
+                   {"V", DataType::kInt64}});
   TableBuilder sb("S", s_schema);
   ASSERT_TRUE(sb.AppendRow({Value(int64_t{1}), Value(int64_t{5})}).ok());
   auto s = sb.Finish().ValueOrDie();

@@ -15,11 +15,11 @@ using ::cods::testing::MakeTable;
 // R(OrderId, Product, Category, Region, RegionManager): Product →
 // Category and Region → RegionManager, so R splits three ways.
 std::shared_ptr<const Table> WideTable() {
-  Schema schema({{"OrderId", DataType::kInt64, false},
-                 {"Product", DataType::kInt64, false},
-                 {"Category", DataType::kInt64, false},
-                 {"Region", DataType::kInt64, false},
-                 {"Manager", DataType::kString, false}},
+  Schema schema({{"OrderId", DataType::kInt64},
+                 {"Product", DataType::kInt64},
+                 {"Category", DataType::kInt64},
+                 {"Region", DataType::kInt64},
+                 {"Manager", DataType::kString}},
                 {"OrderId"});
   std::vector<Row> rows;
   for (int64_t i = 0; i < 200; ++i) {

@@ -17,8 +17,17 @@ TEST(Parser, CreateTable) {
   EXPECT_EQ(smo.out1, "R");
   EXPECT_EQ(smo.schema.num_columns(), 3u);
   EXPECT_EQ(smo.schema.column(1).type, DataType::kInt64);
-  EXPECT_TRUE(smo.schema.column(2).sorted);
+  EXPECT_EQ(smo.schema.column(2).type, DataType::kDouble);
   EXPECT_TRUE(smo.schema.IsKey({"Employee"}));
+  // SORTED is accepted and discarded: the statement parses to the same
+  // Smo as without it.
+  Smo plain = ParseSmoStatement(
+                  "CREATE TABLE R (Employee STRING, Age INT64, "
+                  "Score DOUBLE, KEY(Employee));")
+                  .ValueOrDie();
+  EXPECT_EQ(smo.ToString(), plain.ToString());
+  EXPECT_EQ(smo.schema.ToString(), plain.schema.ToString());
+  EXPECT_TRUE(smo.schema.SameLayout(plain.schema));
 }
 
 TEST(Parser, DropAndRenameTable) {

@@ -18,6 +18,7 @@
 #include "plan/staged_catalog.h"
 #include "query/join.h"
 #include "query/row_executor.h"
+#include "smo/parser.h"
 #include "test_util.h"
 
 namespace cods {
@@ -90,8 +91,8 @@ TEST(QueryEngine, SelectWithoutWhereSharesColumns) {
 }
 
 TEST(QueryEngine, ProjectionKeepsKeyOnlyWhenRetained) {
-  Schema schema({{"k", DataType::kInt64, false},
-                 {"v", DataType::kInt64, false}},
+  Schema schema({{"k", DataType::kInt64},
+                 {"v", DataType::kInt64}},
                 {"k"});
   std::vector<Row> rows;
   for (int64_t i = 0; i < 10; ++i) rows.push_back({Value(i), Value(i % 3)});
@@ -109,8 +110,8 @@ TEST(QueryEngine, ProjectionKeepsKeyOnlyWhenRetained) {
 }
 
 TEST(QueryEngine, GroupBySumWithAndWithoutWhere) {
-  Schema schema({{"g", DataType::kString, false},
-                 {"m", DataType::kInt64, false}},
+  Schema schema({{"g", DataType::kString},
+                 {"m", DataType::kInt64}},
                 {});
   Catalog catalog;
   CODS_CHECK_OK(catalog.AddTable(MakeTable(
@@ -151,8 +152,8 @@ TEST(QueryEngine, GroupBySumWithAndWithoutWhere) {
 }
 
 TEST(QueryEngine, GroupByMultiAggregate) {
-  Schema schema({{"g", DataType::kString, false},
-                 {"m", DataType::kInt64, false}},
+  Schema schema({{"g", DataType::kString},
+                 {"m", DataType::kInt64}},
                 {});
   Catalog catalog;
   CODS_CHECK_OK(catalog.AddTable(MakeTable(
@@ -204,8 +205,8 @@ TEST(QueryEngine, GroupByDictionaryCompleteGroupsAggregateToNull) {
   // Without a WHERE, output is dictionary-complete: a value with no
   // rows (PARTITION TABLE keeps the parent's full dictionary) keeps
   // SUM=0 / COUNT=0 — and MIN/MAX/AVG are NULL, not a fabricated value.
-  Schema schema({{"g", DataType::kString, false},
-                 {"m", DataType::kInt64, false}},
+  Schema schema({{"g", DataType::kString},
+                 {"m", DataType::kInt64}},
                 {});
   Catalog catalog;
   CODS_CHECK_OK(catalog.AddTable(MakeTable(
@@ -240,9 +241,9 @@ TEST(QueryEngine, GroupByDictionaryCompleteGroupsAggregateToNull) {
 // 7 and P with 4 (dense), in seeded random order.
 std::shared_ptr<const Table> CompactionTable() {
   Rng rng(7);
-  Schema schema({{"K", DataType::kInt64, false},
-                 {"V", DataType::kInt64, false},
-                 {"P", DataType::kString, false}},
+  Schema schema({{"K", DataType::kInt64},
+                 {"V", DataType::kInt64},
+                 {"P", DataType::kString}},
                 {});
   std::vector<Row> rows;
   for (int64_t r = 0; r < 3000; ++r) {
@@ -373,8 +374,8 @@ TEST(QueryEngine, DuplicateProjectionColumnsAreAnErrorWithPositions) {
 }
 
 TEST(QueryEngine, ExplicitlyListedKeyIsProjectedExactlyOnce) {
-  Schema schema({{"k", DataType::kInt64, false},
-                 {"v", DataType::kInt64, false}},
+  Schema schema({{"k", DataType::kInt64},
+                 {"v", DataType::kInt64}},
                 {"k"});
   std::vector<Row> rows;
   for (int64_t i = 0; i < 6; ++i) rows.push_back({Value(i), Value(i % 2)});
@@ -473,8 +474,8 @@ TEST(QueryEngine, QueryAfterEvolutionSeesNewSchema) {
 
 Catalog MakeJoinCatalog() {
   Catalog catalog;
-  Schema emp({{"Employee", DataType::kString, false},
-              {"Skill", DataType::kString, false}},
+  Schema emp({{"Employee", DataType::kString},
+              {"Skill", DataType::kString}},
              {});
   CODS_CHECK_OK(catalog.AddTable(MakeTable(
       "S", emp,
@@ -482,8 +483,8 @@ Catalog MakeJoinCatalog() {
        {Value("Jones"), Value("Shorthand")},
        {Value("Ellis"), Value("Alchemy")},
        {Value("Nobody"), Value("Idling")}})));
-  Schema addr({{"Employee", DataType::kString, false},
-               {"Address", DataType::kString, false}},
+  Schema addr({{"Employee", DataType::kString},
+               {"Address", DataType::kString}},
               {"Employee"});
   CODS_CHECK_OK(catalog.AddTable(MakeTable(
       "T", addr,
@@ -557,8 +558,8 @@ TEST(QueryEngine, JoinRejectsAmbiguityAndSelfJoin) {
   // Plain 'Employee' is ambiguous across the two sides of the join
   // result — the elided right column aliases, but a plain reference to
   // a column BOTH sides kept must error.
-  Schema extra({{"Employee", DataType::kString, false},
-                {"Skill", DataType::kString, false}},
+  Schema extra({{"Employee", DataType::kString},
+                {"Skill", DataType::kString}},
                {});
   CODS_CHECK_OK(catalog.AddTable(MakeTable(
       "U", extra, {{Value("Jones"), Value("Typing")}})));
@@ -579,11 +580,11 @@ TEST(QueryEngine, BareReferenceToElidedJoinColumnIsAmbiguousWhenShadowed) {
   // is elided from the join result, so a bare 'id' would silently
   // suffix-bind to O.id — a DIFFERENT column. SQL semantics: error as
   // ambiguous; qualified references stay exact.
-  Schema orders({{"id", DataType::kInt64, false},
-                 {"customer_id", DataType::kInt64, false}},
+  Schema orders({{"id", DataType::kInt64},
+                 {"customer_id", DataType::kInt64}},
                 {"id"});
-  Schema customers({{"id", DataType::kInt64, false},
-                    {"city", DataType::kString, false}},
+  Schema customers({{"id", DataType::kInt64},
+                    {"city", DataType::kString}},
                    {"id"});
   Catalog catalog;
   CODS_CHECK_OK(catalog.AddTable(MakeTable(
@@ -623,8 +624,8 @@ TEST(QueryEngine, BareReferenceToElidedJoinColumnIsAmbiguousWhenShadowed) {
 }
 
 TEST(QueryEngine, OrderByAndLimit) {
-  Schema schema({{"k", DataType::kInt64, false},
-                 {"v", DataType::kInt64, false}},
+  Schema schema({{"k", DataType::kInt64},
+                 {"v", DataType::kInt64}},
                 {});
   Catalog catalog;
   CODS_CHECK_OK(catalog.AddTable(MakeTable(
@@ -694,8 +695,8 @@ TEST(QueryEngine, OrderByAndLimit) {
 
 TEST(QueryEngine, OrderByNaNSortsLastAndMixedNumericsInterleave) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  Schema schema({{"x", DataType::kDouble, false},
-                 {"tag", DataType::kInt64, false}},
+  Schema schema({{"x", DataType::kDouble},
+                 {"tag", DataType::kInt64}},
                 {});
   Catalog catalog;
   CODS_CHECK_OK(catalog.AddTable(MakeTable(
@@ -832,9 +833,9 @@ std::shared_ptr<const Table> SortSweepTable(uint64_t rows, uint64_t seed) {
                     Value(y),
                     Value("s" + std::to_string(rng.Uniform(0, 19)))});
   }
-  Schema schema({{"x", DataType::kDouble, false},
-                 {"y", DataType::kInt64, false},
-                 {"s", DataType::kString, false}},
+  Schema schema({{"x", DataType::kDouble},
+                 {"y", DataType::kInt64},
+                 {"s", DataType::kString}},
                 {});
   auto built = MakeTable("T", schema, data);
   const Column& x = *built->column(0);
@@ -926,24 +927,95 @@ TEST(QueryEngine, OrderByLimitMatchesRowOracleSweep) {
   }
 }
 
-TEST(QueryEngine, OrderByOverRleColumnsStillSorts) {
-  // The walk reads value bitmaps; an RLE-encoded table is re-encoded on
-  // the fly rather than rejected (no WHERE, so nothing else needs WAH).
-  auto table = SortSweepTable(500, 77);
-  std::vector<std::shared_ptr<const Column>> cols;
-  for (size_t i = 0; i < table->num_columns(); ++i) {
-    cols.push_back(table->column(i)->WithEncoding(ColumnEncoding::kRle));
+// Everything a result shows: join plan, count, group rows, and a SELECT
+// table's schema and rows in order.
+std::string RenderResult(const QueryResult& result) {
+  std::string out = result.join_path + " | count " +
+                    std::to_string(result.count) + "\n";
+  for (const GroupRow& group : result.groups) {
+    out += group.group.ToString();
+    for (const Value& v : group.aggregates) out += ", " + v.ToString();
+    out += "\n";
   }
-  auto rle = Table::Make("T", table->schema(), std::move(cols), table->rows())
-                 .ValueOrDie();
-  const std::vector<Row> decoded = table->Materialize();
-  for (int64_t limit : {int64_t{5}, int64_t{-1}}) {
-    auto sorted = QueryEngine::SortRows(*rle, "y", true, limit, "sorted");
-    ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
-    EXPECT_EQ(RenderRows(**sorted),
-              OracleCut(*table, OracleSort(*table, decoded, "y", true), {},
-                        limit));
+  if (result.table != nullptr) {
+    out += result.table->schema().ToString() + "\n";
+    for (const std::string& row : RenderRows(*result.table)) {
+      out += row + "\n";
+    }
   }
+  return out;
+}
+
+TEST(QueryEngine, SortedDeclaredTablesAnswerLikePlainOnes) {
+  // T(K, V, X, S) clustered by K and D(K, G) KEY(K), once stored plainly
+  // and once with K (and T's S) declared SORTED, i.e. loaded from the
+  // run-length image older builds wrote. Every statement shape reads
+  // value bitmaps of a SORTED-declared column — WHERE, projection,
+  // GROUP BY and aggregates, ORDER BY with and without LIMIT, JOIN — and
+  // must answer exactly as on the plain tables.
+  Rng rng(808);
+  std::vector<Row> t_rows;
+  for (int64_t r = 0; r < 600; ++r) {
+    t_rows.push_back({Value(r / 20), Value(rng.Uniform(0, 4)),
+                      Value(static_cast<double>(rng.Uniform(0, 99)) / 10),
+                      Value("s" + std::to_string(r % 3))});
+  }
+  std::vector<Row> d_rows;
+  for (int64_t k = 0; k < 40; ++k) {
+    d_rows.push_back({Value(k), Value("g" + std::to_string(k % 4))});
+  }
+  auto t = MakeTable("T",
+                     Schema({{"K", DataType::kInt64},
+                             {"V", DataType::kInt64},
+                             {"X", DataType::kDouble},
+                             {"S", DataType::kString}}),
+                     t_rows);
+  auto d = MakeTable(
+      "D", Schema({{"K", DataType::kInt64}, {"G", DataType::kString}}, {"K"}),
+      d_rows);
+  Catalog plain;
+  CODS_CHECK_OK(plain.AddTable(t));
+  CODS_CHECK_OK(plain.AddTable(d));
+  Catalog sorted;
+  CODS_CHECK_OK(
+      sorted.AddTable(testing::LoadAsSortedDeclared(*t, {"K", "S"})));
+  CODS_CHECK_OK(sorted.AddTable(testing::LoadAsSortedDeclared(*d, {"K"})));
+
+  int checked = 0;
+  for (const char* text : {
+           "SELECT COUNT(*) FROM T WHERE K = 3",
+           "SELECT COUNT(*) FROM T WHERE K BETWEEN 4 AND 11 AND "
+           "NOT V IN (1, 2)",
+           "SELECT K, V, X FROM T WHERE K = 7 OR (S = 's1' AND K > 25)",
+           "SELECT * FROM T WHERE K IN (0, 13, 29)",
+           "SELECT K, COUNT(*), SUM(V), MIN(X), MAX(X) FROM T GROUP BY K",
+           "SELECT V, SUM(K), MIN(K), MAX(K) FROM T WHERE K < 20 GROUP BY V",
+           "SELECT S, MIN(K), MAX(K), AVG(X) FROM T WHERE X > 5 GROUP BY S",
+           "SELECT K, X FROM T ORDER BY K DESC LIMIT 5",
+           "SELECT * FROM T ORDER BY K DESC",
+           "SELECT K, V FROM T WHERE V = 1 ORDER BY X LIMIT 7",
+           "SELECT COUNT(*) FROM T JOIN D ON T.K = D.K WHERE D.G = 'g1'",
+           "SELECT T.K, D.G, T.V FROM T JOIN D ON T.K = D.K WHERE T.V = 0",
+           "SELECT D.G, SUM(T.X), MAX(T.K) FROM T JOIN D ON T.K = D.K "
+           "GROUP BY D.G",
+       }) {
+    SCOPED_TRACE(text);
+    auto stmt = ParseStatement(text);
+    ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+    auto want = QueryEngine(&plain).Execute(stmt->query);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    auto got = QueryEngine(&sorted).Execute(stmt->query);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(RenderResult(*got), RenderResult(*want));
+    ++checked;
+  }
+  EXPECT_EQ(checked, 13);
+  EXPECT_EQ(QueryEngine(&sorted)
+                .Execute(QueryRequest::Count(
+                    "T", Expr::Compare("K", CompareOp::kEq, Value(int64_t{3}))))
+                .ValueOrDie()
+                .count,
+            20u);
 }
 
 // F(K, V, P) JOIN D(K, G, V, H) ON F.K = D.K: key–FK shape, some fact
@@ -969,22 +1041,22 @@ Catalog MakeJoinCountCatalog() {
   Catalog catalog;
   CODS_CHECK_OK(catalog.AddTable(MakeTable(
       "F",
-      Schema({{"K", DataType::kInt64, false},
-              {"V", DataType::kInt64, false},
-              {"P", DataType::kString, false}},
+      Schema({{"K", DataType::kInt64},
+              {"V", DataType::kInt64},
+              {"P", DataType::kString}},
              {}),
       fact)));
   CODS_CHECK_OK(catalog.AddTable(MakeTable(
       "D",
-      Schema({{"K", DataType::kInt64, false},
-              {"G", DataType::kInt64, false},
-              {"V", DataType::kInt64, false},
-              {"H", DataType::kString, false}},
+      Schema({{"K", DataType::kInt64},
+              {"G", DataType::kInt64},
+              {"V", DataType::kInt64},
+              {"H", DataType::kString}},
              {"K"}),
       dim)));
   CODS_CHECK_OK(catalog.AddTable(MakeTable(
       "D2",
-      Schema({{"K", DataType::kInt64, false}, {"W", DataType::kInt64, false}},
+      Schema({{"K", DataType::kInt64}, {"W", DataType::kInt64}},
              {}),
       dim2)));
   return catalog;
@@ -1209,9 +1281,9 @@ std::shared_ptr<const Table> ProjectionTable() {
                     Value(s == 30 ? std::string() : "s" + std::to_string(s)),
                     Value(int64_t{0})});
   }
-  Schema schema({{"d", DataType::kDouble, false},
-                 {"s", DataType::kString, false},
-                 {"k", DataType::kInt64, false}},
+  Schema schema({{"d", DataType::kDouble},
+                 {"s", DataType::kString},
+                 {"k", DataType::kInt64}},
                 {});
   auto built = MakeTable("T", schema, data);
   Dictionary keys;
@@ -1479,11 +1551,11 @@ std::shared_ptr<const Table> ContingencyTable() {
     s_vids[r] = static_cast<Vid>(rng.Uniform(0, 19));
     x_vids[r] = static_cast<Vid>(rng.Uniform(0, 6));
   }
-  Schema schema({{"g", DataType::kInt64, false},
-                 {"m", DataType::kDouble, false},
-                 {"k", DataType::kInt64, false},
-                 {"s", DataType::kString, false},
-                 {"x", DataType::kDouble, false}},
+  Schema schema({{"g", DataType::kInt64},
+                 {"m", DataType::kDouble},
+                 {"k", DataType::kInt64},
+                 {"s", DataType::kString},
+                 {"x", DataType::kDouble}},
                 {});
   std::vector<std::shared_ptr<const Column>> cols = {
       ColumnOf(DataType::kInt64, g_values,

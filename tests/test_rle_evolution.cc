@@ -1,7 +1,10 @@
-// Tests for evolution over RLE-encoded (sorted) columns — §2.2 notes
-// run-length encoding for sorted columns; the operators must accept such
-// tables, use RLE-native fast paths where available, and produce results
-// identical to the bitmap-encoded equivalents.
+// Evolution over SORTED-declared tables. A column declared SORTED was
+// once stored run-length encoded; images holding such columns now load
+// into the one bitmap encoding (storage/serde.h). Every operator must
+// answer on a SORTED-declared input exactly as on the same rows stored
+// plainly.
+
+#include <tuple>
 
 #include "evolution/decompose.h"
 #include "evolution/merge.h"
@@ -14,15 +17,15 @@ namespace cods {
 namespace {
 
 using ::cods::testing::ExpectSameContent;
+using ::cods::testing::LoadAsSortedDeclared;
 using ::cods::testing::SortedRows;
 
-// R(K, V, P) sorted by K, with K and P declared sorted (RLE-encoded);
-// FD K -> P holds.
-std::shared_ptr<const Table> SortedFdTable(uint64_t rows,
-                                           uint64_t distinct) {
-  Schema schema({{"K", DataType::kInt64, true},   // sorted → RLE
-                 {"V", DataType::kInt64, false},
-                 {"P", DataType::kInt64, true}},  // sorted runs too
+// R(K, V, P) clustered by K; FD K -> P holds.
+std::shared_ptr<const Table> ClusteredFdTable(uint64_t rows,
+                                              uint64_t distinct) {
+  Schema schema({{"K", DataType::kInt64},
+                 {"V", DataType::kInt64},
+                 {"P", DataType::kInt64}},
                 {});
   TableBuilder builder("R", schema);
   for (uint64_t r = 0; r < rows; ++r) {
@@ -35,91 +38,99 @@ std::shared_ptr<const Table> SortedFdTable(uint64_t rows,
   return builder.Finish().ValueOrDie();
 }
 
-// The same data with every column bitmap-encoded.
-std::shared_ptr<const Table> AsBitmapTable(const Table& src) {
-  auto converted = ReencodeRleToWah(src);
-  return converted ? converted : src.WithName(src.name());
+// The same rows with K and P declared SORTED (loaded from their legacy
+// run-length image).
+std::shared_ptr<const Table> SortedDeclared(const Table& plain) {
+  return LoadAsSortedDeclared(plain, {"K", "P"});
 }
 
-TEST(RleEvolution, TableUsesRleEncoding) {
-  auto r = SortedFdTable(1000, 50);
-  EXPECT_EQ(r->column(0)->encoding(), ColumnEncoding::kRle);
-  EXPECT_EQ(r->column(1)->encoding(), ColumnEncoding::kWahBitmap);
-  EXPECT_EQ(r->column(2)->encoding(), ColumnEncoding::kRle);
-  EXPECT_TRUE(r->ValidateInvariants().ok());
+TEST(SortedDeclaredEvolution, LoadsAsThePlainTable) {
+  auto plain = ClusteredFdTable(1000, 50);
+  auto sorted = SortedDeclared(*plain);
+  EXPECT_TRUE(sorted->ValidateInvariants().ok());
+  EXPECT_EQ(sorted->Materialize(), plain->Materialize());
+  for (size_t i = 0; i < plain->num_columns(); ++i) {
+    EXPECT_EQ(sorted->column(i)->bitmaps(), plain->column(i)->bitmaps())
+        << "column " << i;
+  }
 }
 
-TEST(RleEvolution, DistinctionUsesRunList) {
-  auto r = SortedFdTable(1000, 50);
-  auto positions = DistinctionPositions(*r, {"K"}).ValueOrDie();
+TEST(SortedDeclaredEvolution, DistinctionMatchesPlain) {
+  auto plain = ClusteredFdTable(1000, 50);
+  auto positions =
+      DistinctionPositions(*SortedDeclared(*plain), {"K"}).ValueOrDie();
   EXPECT_EQ(positions.size(), 50u);
-  // Sorted input: representative of value k is the first row of its run.
+  // Clustered input: the representative of value k is its first row.
   EXPECT_EQ(positions[0], 0u);
-  auto bitmap_version = AsBitmapTable(*r);
-  EXPECT_EQ(positions,
-            DistinctionPositions(*bitmap_version, {"K"}).ValueOrDie());
+  EXPECT_EQ(positions, DistinctionPositions(*plain, {"K"}).ValueOrDie());
 }
 
-TEST(RleEvolution, DecomposePreservesRleEncodingAndContent) {
-  auto r = SortedFdTable(2000, 40);
-  auto rle_result =
-      CodsDecompose(*r, "S", {"K", "V"}, {}, "T", {"K", "P"}, {"K"})
+TEST(SortedDeclaredEvolution, DecomposeMatchesPlain) {
+  auto plain = ClusteredFdTable(2000, 40);
+  auto sorted_result = CodsDecompose(*SortedDeclared(*plain), "S", {"K", "V"},
+                                     {}, "T", {"K", "P"}, {"K"})
+                           .ValueOrDie();
+  auto plain_result =
+      CodsDecompose(*plain, "S", {"K", "V"}, {}, "T", {"K", "P"}, {"K"})
           .ValueOrDie();
-  auto bm_result = CodsDecompose(*AsBitmapTable(*r), "S", {"K", "V"}, {},
-                                 "T", {"K", "P"}, {"K"})
-                       .ValueOrDie();
-  ExpectSameContent(*rle_result.s, *bm_result.s);
-  ExpectSameContent(*rle_result.t, *bm_result.t);
-  // The generated T keeps RLE for its sorted columns (native filtering).
-  EXPECT_EQ(rle_result.t->column(0)->encoding(), ColumnEncoding::kRle);
-  EXPECT_TRUE(rle_result.t->ValidateInvariants().ok());
+  ExpectSameContent(*sorted_result.s, *plain_result.s);
+  ExpectSameContent(*sorted_result.t, *plain_result.t);
+  EXPECT_TRUE(sorted_result.t->ValidateInvariants().ok());
 }
 
-TEST(RleEvolution, MergeAcceptsRleInputs) {
-  auto r = SortedFdTable(2000, 40);
-  auto dec = CodsDecompose(*r, "S", {"K", "V"}, {}, "T", {"K", "P"}, {"K"})
+TEST(SortedDeclaredEvolution, MergeMatchesPlain) {
+  auto plain = ClusteredFdTable(2000, 40);
+  auto dec = CodsDecompose(*SortedDeclared(*plain), "S", {"K", "V"}, {}, "T",
+                           {"K", "P"}, {"K"})
                  .ValueOrDie();
   auto merged =
       CodsMerge(*dec.s, *dec.t, {"K"}, {}, "R2").ValueOrDie();
   EXPECT_TRUE(merged.used_key_fk);
-  EXPECT_EQ(SortedRows(*merged.table), SortedRows(*r));
+  EXPECT_EQ(SortedRows(*merged.table), SortedRows(*plain));
 
   auto general =
       CodsMergeGeneral(*dec.s, *dec.t, {"K"}, {}, "R3").ValueOrDie();
-  EXPECT_EQ(SortedRows(*general), SortedRows(*r));
+  EXPECT_EQ(SortedRows(*general), SortedRows(*plain));
 }
 
-TEST(RleEvolution, PartitionAndUnionAcceptRleInputs) {
-  auto r = SortedFdTable(1000, 20);
-  auto part = PartitionTableOp(*r, "Low", "High", "K", CompareOp::kLt,
+TEST(SortedDeclaredEvolution, PartitionAndUnionMatchPlain) {
+  auto plain = ClusteredFdTable(1000, 20);
+  auto sorted = SortedDeclared(*plain);
+  auto part = PartitionTableOp(*sorted, "Low", "High", "K", CompareOp::kLt,
                                Value(int64_t{10}))
                   .ValueOrDie();
+  auto plain_part = PartitionTableOp(*plain, "Low", "High", "K",
+                                     CompareOp::kLt, Value(int64_t{10}))
+                        .ValueOrDie();
   EXPECT_EQ(part.matching->rows() + part.rest->rows(), 1000u);
+  ExpectSameContent(*part.matching, *plain_part.matching);
+  ExpectSameContent(*part.rest, *plain_part.rest);
   auto u =
       UnionTablesOp(*part.matching, *part.rest, "U", nullptr).ValueOrDie();
-  EXPECT_EQ(SortedRows(*u), SortedRows(*r));
+  EXPECT_EQ(SortedRows(*u), SortedRows(*plain));
 }
 
 TEST(GroupBy, CountMatchesValueCounts) {
-  auto r = SortedFdTable(1000, 10);
-  // GROUP BY reads the group column's value bitmaps: V (r % 5) is WAH;
-  // the RLE-encoded K is rejected rather than decoded.
-  auto groups =
-      QueryEngine::GroupByRows(*r, "V", {AggregateSpec::Count()}, nullptr)
-          .ValueOrDie();
-  ASSERT_EQ(groups.size(), 5u);
-  uint64_t total = 0;
-  for (const GroupRow& group : groups) {
-    const uint64_t count =
-        static_cast<uint64_t>(group.aggregates[0].int64());
-    EXPECT_EQ(count, 200u) << group.group.ToString();
-    total += count;
+  auto r = SortedDeclared(*ClusteredFdTable(1000, 10));
+  // GROUP BY reads the group column's value bitmaps, the SORTED-declared
+  // K (10 × 100 rows) included, as well as V (r % 5, 5 × 200 rows).
+  for (const auto& [column, groups_expected, rows_per_group] :
+       {std::tuple<const char*, size_t, uint64_t>{"V", 5, 200},
+        std::tuple<const char*, size_t, uint64_t>{"K", 10, 100}}) {
+    auto groups = QueryEngine::GroupByRows(*r, column,
+                                           {AggregateSpec::Count()}, nullptr)
+                      .ValueOrDie();
+    ASSERT_EQ(groups.size(), groups_expected) << column;
+    uint64_t total = 0;
+    for (const GroupRow& group : groups) {
+      const uint64_t count =
+          static_cast<uint64_t>(group.aggregates[0].int64());
+      EXPECT_EQ(count, rows_per_group)
+          << column << " " << group.group.ToString();
+      total += count;
+    }
+    EXPECT_EQ(total, 1000u) << column;
   }
-  EXPECT_EQ(total, 1000u);
-  EXPECT_TRUE(
-      QueryEngine::GroupByRows(*r, "K", {AggregateSpec::Count()}, nullptr)
-          .status()
-          .IsInvalidArgument());
 }
 
 TEST(GroupBy, SumMatchesNaiveAggregation) {

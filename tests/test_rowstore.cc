@@ -57,8 +57,8 @@ TEST(Page, InsertUntilFull) {
 }
 
 TEST(RowTable, InsertScanAndGet) {
-  Schema schema({{"id", DataType::kInt64, false},
-                 {"name", DataType::kString, false}});
+  Schema schema({{"id", DataType::kInt64},
+                 {"name", DataType::kString}});
   RowTable table("t", schema);
   std::vector<RowId> rids;
   for (int64_t i = 0; i < 1000; ++i) {
@@ -82,14 +82,14 @@ TEST(RowTable, InsertScanAndGet) {
 }
 
 TEST(RowTable, RejectsBadShapes) {
-  Schema schema({{"id", DataType::kInt64, false}});
+  Schema schema({{"id", DataType::kInt64}});
   RowTable table("t", schema);
   EXPECT_FALSE(table.Insert({Value(int64_t{1}), Value(int64_t{2})}).ok());
   EXPECT_FALSE(table.Get(RowId{99, 0}).ok());
 }
 
 TEST(RowTable, ScanPreservesInsertionOrder) {
-  Schema schema({{"id", DataType::kInt64, false}});
+  Schema schema({{"id", DataType::kInt64}});
   RowTable table("t", schema);
   for (int64_t i = 0; i < 500; ++i) {
     ASSERT_TRUE(table.Insert({Value(i)}).ok());
@@ -101,8 +101,8 @@ TEST(RowTable, ScanPreservesInsertionOrder) {
 }
 
 TEST(HashIndex, LookupFindsAllDuplicates) {
-  Schema schema({{"k", DataType::kInt64, false},
-                 {"v", DataType::kInt64, false}});
+  Schema schema({{"k", DataType::kInt64},
+                 {"v", DataType::kInt64}});
   RowTable table("t", schema);
   for (int64_t i = 0; i < 300; ++i) {
     ASSERT_TRUE(table.Insert({Value(i % 10), Value(i)}).ok());
@@ -119,9 +119,9 @@ TEST(HashIndex, LookupFindsAllDuplicates) {
 }
 
 TEST(HashIndex, CompositeKeys) {
-  Schema schema({{"a", DataType::kInt64, false},
-                 {"b", DataType::kString, false},
-                 {"c", DataType::kInt64, false}});
+  Schema schema({{"a", DataType::kInt64},
+                 {"b", DataType::kString},
+                 {"c", DataType::kInt64}});
   RowTable table("t", schema);
   ASSERT_TRUE(table.Insert({Value(int64_t{1}), Value("x"), Value(int64_t{1})}).ok());
   ASSERT_TRUE(table.Insert({Value(int64_t{1}), Value("y"), Value(int64_t{2})}).ok());

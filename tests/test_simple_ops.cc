@@ -15,8 +15,8 @@ using ::cods::testing::MakeTable;
 using ::cods::testing::SortedRows;
 
 TEST(SimpleOps, MakeEmptyTable) {
-  Schema schema({{"a", DataType::kInt64, false},
-                 {"b", DataType::kString, false}},
+  Schema schema({{"a", DataType::kInt64},
+                 {"b", DataType::kString}},
                 {"a"});
   auto table = MakeEmptyTable("t", schema).ValueOrDie();
   EXPECT_EQ(table->rows(), 0u);
@@ -42,8 +42,8 @@ TEST(SimpleOps, DeepCopyDuplicatesStorage) {
 }
 
 TEST(Union, ConcatenatesTuplesAndDictionaries) {
-  Schema schema({{"k", DataType::kInt64, false},
-                 {"v", DataType::kString, false}},
+  Schema schema({{"k", DataType::kInt64},
+                 {"v", DataType::kString}},
                 {});
   auto a = MakeTable("A", schema,
                      {{Value(int64_t{1}), Value("x")},
@@ -64,7 +64,7 @@ TEST(Union, ConcatenatesTuplesAndDictionaries) {
 
 TEST(Union, RequiresSameLayout) {
   auto r = Figure1TableR();
-  Schema other({{"x", DataType::kInt64, false}});
+  Schema other({{"x", DataType::kInt64}});
   auto b = MakeTable("B", other, {{Value(int64_t{1})}});
   EXPECT_FALSE(UnionTablesOp(*r, *b, "U", nullptr).ok());
 }
@@ -98,7 +98,7 @@ TEST(Partition, SplitsByPredicate) {
 }
 
 TEST(Partition, NumericRangePredicates) {
-  Schema schema({{"id", DataType::kInt64, false}});
+  Schema schema({{"id", DataType::kInt64}});
   std::vector<Row> rows;
   for (int64_t i = 0; i < 100; ++i) rows.push_back({Value(i)});
   auto t = MakeTable("T", schema, rows);
@@ -132,7 +132,7 @@ TEST(Partition, MissingColumnErrors) {
 
 TEST(AddColumn, ConstantDefaultIsOneFill) {
   auto r = Figure1TableR();
-  auto out = AddColumnOp(*r, {"Grade", DataType::kInt64, false},
+  auto out = AddColumnOp(*r, {"Grade", DataType::kInt64},
                          Value(int64_t{1}))
                  .ValueOrDie();
   EXPECT_EQ(out->num_columns(), 4u);
@@ -152,7 +152,7 @@ TEST(AddColumn, ConstantDefaultIsOneFill) {
 
 TEST(AddColumn, TypeMismatchRejected) {
   auto r = Figure1TableR();
-  EXPECT_FALSE(AddColumnOp(*r, {"Grade", DataType::kInt64, false},
+  EXPECT_FALSE(AddColumnOp(*r, {"Grade", DataType::kInt64},
                            Value("not int"))
                    .ok());
 }
@@ -161,13 +161,13 @@ TEST(AddColumn, WithDataLoadsValues) {
   auto r = Figure1TableR();
   std::vector<Value> grades;
   for (int64_t i = 0; i < 7; ++i) grades.push_back(Value(i % 3));
-  auto out = AddColumnWithDataOp(*r, {"Grade", DataType::kInt64, false},
+  auto out = AddColumnWithDataOp(*r, {"Grade", DataType::kInt64},
                                  grades)
                  .ValueOrDie();
   EXPECT_EQ(out->GetValue(5, 3), Value(int64_t{5 % 3}));
   EXPECT_TRUE(out->ValidateInvariants().ok());
   // Wrong length rejected.
-  EXPECT_FALSE(AddColumnWithDataOp(*r, {"G2", DataType::kInt64, false},
+  EXPECT_FALSE(AddColumnWithDataOp(*r, {"G2", DataType::kInt64},
                                    {Value(int64_t{1})})
                    .ok());
 }

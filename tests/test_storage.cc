@@ -90,24 +90,6 @@ TEST(Column, FromVidsBuildsPartitioningBitmaps) {
   EXPECT_TRUE(col->ValidateInvariants().ok());
 }
 
-TEST(Column, RleEncodingRoundTrip) {
-  Dictionary dict;
-  dict.GetOrInsert(Value("a"));
-  dict.GetOrInsert(Value("b"));
-  std::vector<Vid> vids = {0, 0, 0, 1, 1};
-  auto col = Column::FromVidsRle(DataType::kString, dict, vids);
-  EXPECT_EQ(col->encoding(), ColumnEncoding::kRle);
-  EXPECT_EQ(col->DecodeVids(), vids);
-  EXPECT_EQ(col->GetValue(4), Value("b"));
-  EXPECT_EQ(col->ValueCount(0), 3u);
-  EXPECT_TRUE(col->ValidateInvariants().ok());
-
-  auto as_bitmap = col->WithEncoding(ColumnEncoding::kWahBitmap);
-  EXPECT_EQ(as_bitmap->encoding(), ColumnEncoding::kWahBitmap);
-  EXPECT_EQ(as_bitmap->DecodeVids(), vids);
-  EXPECT_TRUE(as_bitmap->ValidateInvariants().ok());
-}
-
 TEST(PackedVids, WidthForDistinctCounts) {
   EXPECT_EQ(PackedVids::WidthFor(0), 0u);
   EXPECT_EQ(PackedVids::WidthFor(1), 0u);
@@ -152,7 +134,7 @@ TEST(PackedVids, EveryWidthRoundTripsAcrossWordBoundaries) {
 
 TEST(Column, RowVidMapMatchesDecodeAndIsCachedOnce) {
   // Distinct counts 1, 2, 2^k and 2^k + 1 at row counts off the 64-row
-  // block, both encodings: the map reads back DecodeVids at width
+  // block: the map reads back DecodeVids at width
   // WidthFor(distinct), is built once per column, and its bytes leave
   // the retained gauge with the column.
   CodecStats& stats = GlobalCodecStats();
@@ -169,26 +151,23 @@ TEST(Column, RowVidMapMatchesDecodeAndIsCachedOnce) {
         vids[i] = static_cast<Vid>(i < distinct ? i
                                                 : rng.engine()() % distinct);
       }
-      for (bool rle : {false, true}) {
-        const uint64_t built = stats.row_vid_maps_built.load();
-        const uint64_t bytes = stats.row_vid_map_bytes.load();
-        auto col = rle ? Column::FromVidsRle(DataType::kInt64, dict, vids)
-                       : Column::FromVids(DataType::kInt64, dict, vids);
-        const uint64_t stored = col->SizeBytes();
-        const PackedVids& map = col->RowVidMap();
-        EXPECT_EQ(&col->RowVidMap(), &map);
-        EXPECT_EQ(stats.row_vid_maps_built.load(), built + 1);
-        EXPECT_EQ(map.width(), PackedVids::WidthFor(distinct));
-        EXPECT_EQ(map.SizeBytes(), (rows * map.width() + 63) / 64 * 8);
-        EXPECT_EQ(stats.row_vid_map_bytes.load(), bytes + map.SizeBytes());
-        EXPECT_EQ(col->SizeBytes(), stored);  // a cache, not storage
-        ASSERT_EQ(map.size(), rows);
-        for (uint64_t i = 0; i < rows; ++i) {
-          ASSERT_EQ(map[i], vids[i]) << distinct << "/" << rows << " " << i;
-        }
-        col.reset();
-        EXPECT_EQ(stats.row_vid_map_bytes.load(), bytes);
+      const uint64_t built = stats.row_vid_maps_built.load();
+      const uint64_t bytes = stats.row_vid_map_bytes.load();
+      auto col = Column::FromVids(DataType::kInt64, dict, vids);
+      const uint64_t stored = col->SizeBytes();
+      const PackedVids& map = col->RowVidMap();
+      EXPECT_EQ(&col->RowVidMap(), &map);
+      EXPECT_EQ(stats.row_vid_maps_built.load(), built + 1);
+      EXPECT_EQ(map.width(), PackedVids::WidthFor(distinct));
+      EXPECT_EQ(map.SizeBytes(), (rows * map.width() + 63) / 64 * 8);
+      EXPECT_EQ(stats.row_vid_map_bytes.load(), bytes + map.SizeBytes());
+      EXPECT_EQ(col->SizeBytes(), stored);  // a cache, not storage
+      ASSERT_EQ(map.size(), rows);
+      for (uint64_t i = 0; i < rows; ++i) {
+        ASSERT_EQ(map[i], vids[i]) << distinct << "/" << rows << " " << i;
       }
+      col.reset();
+      EXPECT_EQ(stats.row_vid_map_bytes.load(), bytes);
     }
   }
 }
@@ -206,21 +185,21 @@ TEST(Column, ValidateDetectsCorruption) {
 }
 
 TEST(Schema, MakeValidates) {
-  EXPECT_FALSE(Schema::Make({{"a", DataType::kInt64, false},
-                             {"a", DataType::kInt64, false}})
+  EXPECT_FALSE(Schema::Make({{"a", DataType::kInt64},
+                             {"a", DataType::kInt64}})
                    .ok());
   EXPECT_FALSE(
-      Schema::Make({{"a", DataType::kInt64, false}}, {"missing"}).ok());
-  EXPECT_FALSE(Schema::Make({{"", DataType::kInt64, false}}).ok());
+      Schema::Make({{"a", DataType::kInt64}}, {"missing"}).ok());
+  EXPECT_FALSE(Schema::Make({{"", DataType::kInt64}}).ok());
   auto schema =
-      Schema::Make({{"a", DataType::kInt64, false}}, {"a"}).ValueOrDie();
+      Schema::Make({{"a", DataType::kInt64}}, {"a"}).ValueOrDie();
   EXPECT_TRUE(schema.has_key());
   EXPECT_TRUE(schema.IsKey({"a"}));
 }
 
 TEST(Schema, ColumnManipulation) {
-  Schema schema({{"a", DataType::kInt64, false},
-                 {"b", DataType::kString, false}},
+  Schema schema({{"a", DataType::kInt64},
+                 {"b", DataType::kString}},
                 {"a"});
   EXPECT_EQ(schema.ColumnIndex("b").ValueOrDie(), 1u);
   EXPECT_FALSE(schema.ColumnIndex("z").ok());
@@ -232,9 +211,9 @@ TEST(Schema, ColumnManipulation) {
   EXPECT_FALSE(schema.RenameColumn("zz", "y").ok());
 
   Schema added =
-      schema.AddColumn({"c", DataType::kDouble, false}).ValueOrDie();
+      schema.AddColumn({"c", DataType::kDouble}).ValueOrDie();
   EXPECT_EQ(added.num_columns(), 3u);
-  EXPECT_FALSE(schema.AddColumn({"a", DataType::kInt64, false}).ok());
+  EXPECT_FALSE(schema.AddColumn({"a", DataType::kInt64}).ok());
 
   Schema dropped = schema.DropColumn("b").ValueOrDie();
   EXPECT_EQ(dropped.num_columns(), 1u);
@@ -242,8 +221,8 @@ TEST(Schema, ColumnManipulation) {
 }
 
 TEST(Schema, IsKeyIsOrderInsensitive) {
-  Schema schema({{"a", DataType::kInt64, false},
-                 {"b", DataType::kInt64, false}},
+  Schema schema({{"a", DataType::kInt64},
+                 {"b", DataType::kInt64}},
                 {"a", "b"});
   EXPECT_TRUE(schema.IsKey({"b", "a"}));
   EXPECT_FALSE(schema.IsKey({"a"}));
@@ -262,7 +241,7 @@ TEST(Table, BuilderAndMaterialize) {
 }
 
 TEST(Table, BuilderRejectsBadRows) {
-  Schema schema({{"a", DataType::kInt64, false}});
+  Schema schema({{"a", DataType::kInt64}});
   TableBuilder builder("t", schema);
   EXPECT_TRUE(builder.AppendRow({Value(int64_t{1})}).ok());
   EXPECT_FALSE(builder.AppendRow({Value("str")}).ok());       // wrong type
@@ -274,11 +253,11 @@ TEST(Table, MakeValidatesShape) {
   Dictionary dict;
   dict.GetOrInsert(Value(int64_t{1}));
   auto col = Column::FromVids(DataType::kInt64, dict, {0, 0});
-  Schema schema({{"a", DataType::kInt64, false}});
+  Schema schema({{"a", DataType::kInt64}});
   EXPECT_TRUE(Table::Make("t", schema, {col}, 2).ok());
   EXPECT_FALSE(Table::Make("t", schema, {col}, 3).ok());  // row mismatch
   EXPECT_FALSE(Table::Make("t", schema, {}, 2).ok());     // arity mismatch
-  Schema wrong({{"a", DataType::kString, false}});
+  Schema wrong({{"a", DataType::kString}});
   EXPECT_FALSE(Table::Make("t", wrong, {col}, 2).ok());   // type mismatch
 }
 
@@ -334,7 +313,7 @@ TEST(Catalog, CrudOperations) {
 TEST(Table, SizeBytesReflectsCompression) {
   // A constant column must compress far better than a high-cardinality
   // one of the same length.
-  Schema schema({{"c", DataType::kInt64, false}});
+  Schema schema({{"c", DataType::kInt64}});
   TableBuilder constant("const", schema);
   TableBuilder distinct("dist", schema);
   for (int64_t i = 0; i < 10000; ++i) {

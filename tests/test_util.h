@@ -1,6 +1,6 @@
 // Shared helpers for the CODS test suite: literal table construction,
-// multiset comparison of table contents, and random table generation for
-// property tests.
+// multiset comparison of table contents, random table generation for
+// property tests, and legacy (SORTED/RLE) table images.
 
 #ifndef CODS_TESTS_TEST_UTIL_H_
 #define CODS_TESTS_TEST_UTIL_H_
@@ -13,6 +13,7 @@
 #include "common/random.h"
 #include "gtest/gtest.h"
 #include "rowstore/btree_index.h"
+#include "storage/serde.h"
 #include "storage/table.h"
 
 namespace cods::testing {
@@ -33,9 +34,9 @@ inline std::shared_ptr<const Table> MakeTable(
 
 /// String columns Employee/Skill/Address from the paper's Figure 1.
 inline std::shared_ptr<const Table> Figure1TableR() {
-  Schema schema({{"Employee", DataType::kString, false},
-                 {"Skill", DataType::kString, false},
-                 {"Address", DataType::kString, false}},
+  Schema schema({{"Employee", DataType::kString},
+                 {"Skill", DataType::kString},
+                 {"Address", DataType::kString}},
                 {});
   return MakeTable(
       "R", schema,
@@ -83,9 +84,9 @@ inline std::shared_ptr<const Table> RandomFdTable(uint64_t rows,
                                                   uint64_t distinct_keys,
                                                   uint64_t seed) {
   Rng rng(seed);
-  Schema schema({{"K", DataType::kInt64, false},
-                 {"V", DataType::kInt64, false},
-                 {"P", DataType::kInt64, false}},
+  Schema schema({{"K", DataType::kInt64},
+                 {"V", DataType::kInt64},
+                 {"P", DataType::kInt64}},
                 {});
   TableBuilder builder("R", schema);
   for (uint64_t r = 0; r < rows; ++r) {
@@ -100,6 +101,68 @@ inline std::shared_ptr<const Table> RandomFdTable(uint64_t rows,
   auto table = builder.Finish();
   EXPECT_TRUE(table.ok());
   return table.ValueOrDie();
+}
+
+/// `table` serialized as a version-1 table image written when columns
+/// could be declared SORTED: each column named in `sorted` carries the
+/// schema's sorted flag 1 and stores its rows as maximal vid runs
+/// (column encoding 1); the others store v1 WAH payloads. This is the
+/// byte layout older builds wrote for a table declared that way.
+inline std::vector<uint8_t> LegacyTableImage(
+    const Table& table, const std::vector<std::string>& sorted) {
+  auto is_sorted = [&](const std::string& name) {
+    return std::find(sorted.begin(), sorted.end(), name) != sorted.end();
+  };
+  const Schema& schema = table.schema();
+  BinaryWriter w;
+  w.Str(table.name());
+  w.U64(table.rows());
+  w.U32(static_cast<uint32_t>(schema.key().size()));
+  for (const std::string& k : schema.key()) w.Str(k);
+  w.U32(static_cast<uint32_t>(schema.num_columns()));
+  for (const ColumnSpec& spec : schema.columns()) {
+    w.Str(spec.name);
+    w.U8(static_cast<uint8_t>(spec.type));
+    w.U8(is_sorted(spec.name) ? 1 : 0);
+  }
+  for (size_t i = 0; i < schema.num_columns(); ++i) {
+    const Column& col = *table.column(i);
+    const bool rle = is_sorted(schema.column(i).name);
+    w.U8(static_cast<uint8_t>(col.type()));
+    w.U8(rle ? 1 : 0);
+    w.U64(col.rows());
+    WriteDictionary(col.dict(), &w);
+    if (!rle) {
+      w.U32(static_cast<uint32_t>(col.distinct_count()));
+      for (const ValueBitmap& vb : col.bitmaps()) WriteBitmap(vb.ToWah(), &w);
+      continue;
+    }
+    std::vector<std::pair<Vid, uint64_t>> runs;
+    for (Vid vid : col.DecodeVids()) {
+      if (!runs.empty() && runs.back().first == vid) {
+        ++runs.back().second;
+      } else {
+        runs.emplace_back(vid, 1);
+      }
+    }
+    w.U32(static_cast<uint32_t>(runs.size()));
+    for (const auto& [vid, length] : runs) {
+      w.U32(vid);
+      w.U64(length);
+    }
+  }
+  return w.TakeBuffer();
+}
+
+/// `table` as a SORTED-declared table: its LegacyTableImage, loaded.
+inline std::shared_ptr<const Table> LoadAsSortedDeclared(
+    const Table& table, const std::vector<std::string>& sorted) {
+  std::vector<uint8_t> image = LegacyTableImage(table, sorted);
+  BinaryReader in(image);
+  Result<std::shared_ptr<const Table>> loaded = ReadTable(&in);
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(in.AtEnd());
+  return loaded.ValueOrDie();
 }
 
 }  // namespace cods::testing
