@@ -14,8 +14,9 @@
 //       p99_stall_us     99th-percentile per-query latency, pin
 //                        included: the reader-visible commit stall
 //       scripts_committed  writer progress during the measured run
-//   * BM_Concurrent_SnapshotPin — the raw cost of pinning (one atomic
-//     shared-ptr load + pin accounting) while a writer churns roots.
+//   * BM_Concurrent_SnapshotPin — the raw cost of pinning (a pointer
+//     copy under the shared root lock + pin accounting) while a writer
+//     churns roots.
 //
 // The reader sweep is 1/2/4/8; `--readers=N` pins it to one value, so
 // the series are registered from BenchMain's hook rather than at static

@@ -36,7 +36,7 @@
 //   .help / .quit
 //
 // Every query pins the current snapshot root for its whole execution
-// (one atomic load), so a concurrently committing script never tears a
+// (one pointer copy), so a concurrently committing script never tears a
 // result. `.session open` keeps such a pin alive across statements:
 // `.session run <name> SELECT ...` reads the database as it was when
 // the session was opened, no matter what has evolved since.

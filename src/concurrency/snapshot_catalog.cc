@@ -92,13 +92,16 @@ Catalog MaterializeCatalog(const CatalogRoot& root) {
 }
 
 SnapshotCatalog::SnapshotCatalog()
-    : live_pins_(std::make_shared<std::atomic<int64_t>>(0)) {
-  root_.store(std::make_shared<const CatalogRoot>(),
-              std::memory_order_release);
+    : root_(std::make_shared<const CatalogRoot>()),
+      live_pins_(std::make_shared<std::atomic<int64_t>>(0)) {}
+
+RootPtr SnapshotCatalog::current() const {
+  std::shared_lock<std::shared_mutex> lock(root_mu_);
+  return root_;
 }
 
 Snapshot SnapshotCatalog::GetSnapshot() const {
-  return Snapshot(root_.load(std::memory_order_acquire), live_pins_);
+  return Snapshot(current(), live_pins_);
 }
 
 Status SnapshotCatalog::Commit(WriteTxn&& txn, const PreSwapFn& pre_swap) {
@@ -109,8 +112,12 @@ Status SnapshotCatalog::CommitEffects(const RootPtr& base,
                                       const std::vector<CatalogEffect>& effects,
                                       const PreSwapFn& pre_swap) {
   CODS_CHECK(base != nullptr);
+  // Declared before the lock, so the root this commit retires is
+  // released after commit_mu_ is. Its last reference is usually the
+  // writer's own base pin anyway.
+  RootPtr retired;
   std::lock_guard<std::mutex> lock(commit_mu_);
-  RootPtr current = root_.load(std::memory_order_acquire);
+  RootPtr current = this->current();
   if (current != base) {
     // First-writer-wins: another writer committed since `base` was
     // pinned. The loser is whoever's write set overlaps a table the
@@ -151,30 +158,35 @@ Status SnapshotCatalog::CommitEffects(const RootPtr& base,
   for (const std::string& name : rebased.TableNames()) {
     tables.emplace(name, rebased.GetTable(name).ValueOrDie());
   }
-  Publish(std::move(tables));
+  retired = Publish(std::move(tables));
   return Status::OK();
 }
 
 void SnapshotCatalog::Reset(const Catalog& catalog) {
+  RootPtr retired;
   std::lock_guard<std::mutex> lock(commit_mu_);
   CatalogRoot::TableMap tables;
   for (const std::string& name : catalog.TableNames()) {
     tables.emplace(name, catalog.GetTable(name).ValueOrDie());
   }
-  Publish(std::move(tables));
+  retired = Publish(std::move(tables));
 }
 
-void SnapshotCatalog::Publish(CatalogRoot::TableMap tables) {
-  auto next = std::make_shared<const CatalogRoot>(
+RootPtr SnapshotCatalog::Publish(CatalogRoot::TableMap tables) {
+  RootPtr next = std::make_shared<const CatalogRoot>(
       next_root_id_.fetch_add(1, std::memory_order_relaxed),
       std::move(tables));
-  root_.store(std::move(next), std::memory_order_release);
+  {
+    std::unique_lock<std::shared_mutex> lock(root_mu_);
+    root_.swap(next);
+  }
   commits_.fetch_add(1, std::memory_order_relaxed);
+  return next;  // the retired root, released by the caller
 }
 
 SnapshotCatalog::Stats SnapshotCatalog::GetStats() const {
   Stats stats;
-  RootPtr current = root_.load(std::memory_order_acquire);
+  RootPtr current = this->current();
   stats.root_id = current->id();
   stats.tables = current->size();
   stats.commits = commits_.load(std::memory_order_relaxed);

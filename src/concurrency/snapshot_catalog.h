@@ -10,11 +10,12 @@
 //     implements the read side of TableStore, so QueryEngine (and any
 //     other TableStore consumer) runs against it unchanged. Mutators
 //     fail: a root never changes after publication.
-//   * Snapshot — a reader's RAII pin on a root. Acquiring one is a
-//     single atomic shared-ptr load; no lock is held while the query
-//     runs, and the pinned root (with every table it references) stays
-//     alive until the last pin drops, even across table drops and
-//     whole-root retirement.
+//   * Snapshot — a reader's RAII pin on a root. Acquiring one copies
+//     the root pointer under a shared (reader) lock, so pins never wait
+//     on each other; no lock is held while the query runs, and the
+//     pinned root (with every table it references) stays alive until
+//     the last pin drops, even across table drops and whole-root
+//     retirement.
 //   * SnapshotCatalog — the canonical root plus the commit protocol.
 //     Writers stage mutations against their pinned base (the existing
 //     StagedCatalog overlay) and commit the recorded CatalogEffect log
@@ -22,8 +23,11 @@
 //     committed since the base was pinned, the effects are rebased onto
 //     the current root when the write sets touch disjoint tables, and
 //     rejected with kAborted when they overlap. The swap itself is a
-//     single atomic store under a commit mutex (single-writer critical
-//     section — readers never take it).
+//     pointer swap under the exclusive root lock, inside a commit mutex
+//     (single-writer critical section — readers never take it). The
+//     retired root is released after the root lock is dropped, so a
+//     pin never waits on a free: whoever drops a root's last pin frees
+//     it, and with no long-lived pins that is the committing writer.
 //
 // Durability ordering: Commit accepts a pre-swap hook that runs inside
 // the commit critical section, after conflict validation and effect
@@ -41,6 +45,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -200,11 +205,12 @@ class SnapshotCatalog {
   SnapshotCatalog(const SnapshotCatalog&) = delete;
   SnapshotCatalog& operator=(const SnapshotCatalog&) = delete;
 
-  /// Pins the current root: one atomic shared-ptr load plus pin
-  /// accounting. Never blocks on writers.
+  /// Pins the current root: a pointer copy under the shared root lock
+  /// plus pin accounting. Never blocks on another pin, nor on a
+  /// writer's build, fsync or free.
   Snapshot GetSnapshot() const;
   /// The current root without pin accounting (writer-side plumbing).
-  RootPtr current() const { return root_.load(std::memory_order_acquire); }
+  RootPtr current() const;
 
   /// Opens a staged transaction against the current root.
   WriteTxn BeginWrite() const { return WriteTxn(current()); }
@@ -237,11 +243,16 @@ class SnapshotCatalog {
   Stats GetStats() const;
 
  private:
-  // Publishes `next` as the current root; commit_mu_ must be held.
-  void Publish(CatalogRoot::TableMap tables);
+  // Publishes `tables` as the current root; commit_mu_ must be held.
+  // Returns the retired root so the caller drops it outside every lock.
+  RootPtr Publish(CatalogRoot::TableMap tables);
 
   mutable std::mutex commit_mu_;  // writers only; readers never take it
-  std::atomic<std::shared_ptr<const CatalogRoot>> root_;
+  // Guards root_ alone: shared for a pointer copy, exclusive for the
+  // swap, never held across a build, an fsync or a free. Shared, so
+  // concurrent pins never put each other to sleep.
+  mutable std::shared_mutex root_mu_;
+  RootPtr root_;
   std::shared_ptr<std::atomic<int64_t>> live_pins_;
   std::atomic<uint64_t> next_root_id_{1};
   std::atomic<uint64_t> commits_{0};

@@ -10,7 +10,7 @@
 // version is a RootPtr into the same shared-root graph, and readers pin
 // either with the same Snapshot handle. There is no mutable escape
 // hatch: all mutation flows through the engine's snapshot-commit mode
-// or through Apply(), so the atomic root swap is the single choke point
+// or through Apply(), so the root swap is the single choke point
 // every writer crosses.
 
 #ifndef CODS_CONCURRENCY_VERSIONED_CATALOG_H_
@@ -50,7 +50,8 @@ class VersionedCatalog {
   SnapshotCatalog* serving() { return &serving_; }
   const SnapshotCatalog& serving() const { return serving_; }
 
-  /// Pins the current root for reading (one atomic load; never blocks).
+  /// Pins the current root for reading (a pointer copy; never waits on
+  /// a writer's work).
   Snapshot GetSnapshot() const { return serving_.GetSnapshot(); }
 
   /// The apply-and-commit path for non-SMO mutation (CSV loads, test

@@ -81,9 +81,10 @@ class DurableDb {
   DurableDb(const DurableDb&) = delete;
   DurableDb& operator=(const DurableDb&) = delete;
 
-  /// Pins the current committed root for reading: one atomic load,
-  /// never blocked by a writer. The snapshot stays consistent (and its
-  /// tables alive) however many scripts commit after it.
+  /// Pins the current committed root for reading: a pointer copy under
+  /// a shared lock, never blocked by a writer's work. The snapshot stays
+  /// consistent (and its tables alive) however many scripts commit after
+  /// it.
   Snapshot GetSnapshot() const { return versions_.GetSnapshot(); }
   /// The version history + serving core; commit versions only through
   /// CommitVersion, and route raw (non-statement) mutation through

@@ -79,9 +79,8 @@ struct Server::Conn {
   bool closed = false;
   size_t in_flight = 0;  // admitted statements awaiting a response
 
-  // Session: pinned snapshot + prepared-statement cache.
+  // Session: prepared-statement cache (no snapshot; see server.h).
   std::mutex session_mu;
-  Snapshot snapshot;
   uint64_t next_stmt_id = 1;
   std::map<uint64_t, PreparedStatement> prepared;
 };
@@ -231,10 +230,13 @@ void Server::EventLoop() {
           std::lock_guard<std::mutex> cl(conn->mu);
           if (conn->closed) continue;
           if (!conn->wbuf.empty()) events |= POLLOUT;
-          // Backpressure: at the in-flight cap the socket goes unread,
-          // so the client's sends eventually block in TCP.
+          // Backpressure: at the in-flight cap, or with a frame's worth
+          // of answers unsent (a slot frees when its answer is queued,
+          // not sent), the socket goes unread, so the client's sends
+          // eventually block in TCP.
           if (!draining && !conn->close_after_flush &&
-              conn->in_flight < options_.session_queue_limit) {
+              conn->in_flight < options_.session_queue_limit &&
+              conn->wbuf.size() < options_.max_frame_bytes) {
             events |= POLLIN;
           }
         }
@@ -286,7 +288,6 @@ void Server::AcceptOne() {
       conn->session_id = next_session_id_++;
       conns_[fd] = conn;
     }
-    conn->snapshot = db_->GetSnapshot();
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.sessions_opened;
   }
@@ -308,13 +309,14 @@ void Server::CloseConn(const std::shared_ptr<Conn>& conn) {
 }
 
 void Server::ReadConn(const std::shared_ptr<Conn>& conn) {
+  // One buffer per call, so the loop re-checks the backpressure gate
+  // after at most a buffer's worth of statements.
   char buf[64 * 1024];
   for (;;) {
     ssize_t n = recv(conn->fd, buf, sizeof buf, 0);
     if (n > 0) {
       conn->rbuf.append(buf, static_cast<size_t>(n));
-      if (static_cast<size_t>(n) < sizeof buf) break;
-      continue;
+      break;
     }
     if (n == 0) {
       CloseConn(conn);
@@ -601,17 +603,12 @@ void Server::RunBatch(Lane lane, std::vector<AdmissionTask> tasks) {
   }
 
   if (queries.empty()) return;
-  // Queries: one pinned snapshot for the whole batch; compatible
-  // statements share evals (server/batch.h). Each participating
-  // session's pin advances to the batch root.
+  // Queries: one pinned snapshot for the whole batch, dropped when the
+  // batch ends; compatible statements share evals (server/batch.h).
   Snapshot snap = db_->GetSnapshot();
   std::vector<const QueryRequest*> requests;
   requests.reserve(queries.size());
-  for (const auto& stmt : queries) {
-    requests.push_back(&stmt->stmt.query);
-    std::lock_guard<std::mutex> sl(stmt->conn->session_mu);
-    stmt->conn->snapshot = snap;
-  }
+  for (const auto& stmt : queries) requests.push_back(&stmt->stmt.query);
   ExecContext exec(std::max(1, options_.exec_threads));
   BatchStats batch_stats;
   std::vector<BatchOutcome> outcomes =

@@ -17,9 +17,11 @@
 //     overtakes the heavy lane); clients match responses to requests by
 //     request id.
 //
-// Sessions: one per connection. Each session holds its last pinned
-// Snapshot (refreshed to the batch snapshot whenever one of its
-// statements executes), a bounded in-flight statement budget — at the
+// Sessions: one per connection. A session pins no snapshot: each query
+// batch pins the root for its run only, so a root a commit retires is
+// freed by the committing writer, never by a reader's next statement.
+// Each session holds a bounded in-flight statement budget and at most
+// one frame's worth (max_frame_bytes) of unsent answers — past either
 // limit the loop stops reading the socket, pushing backpressure into
 // TCP — and a prepared-statement cache with root-change invalidation
 // (server/prepared.h).

@@ -40,7 +40,7 @@ void BinaryWriter::Str(const std::string& s) {
 }
 
 Status BinaryReader::Need(size_t n) const {
-  if (pos_ + n > size_) {
+  if (n > size_ - pos_) {
     return Status::Corruption("unexpected end of input at byte " +
                               std::to_string(pos_) + " (need " +
                               std::to_string(n) + ")");
@@ -107,6 +107,7 @@ Result<WahBitmap> ReadBitmap(BinaryReader* in) {
   if (word_count > kMaxReasonableCount) {
     return Status::Corruption("implausible WAH word count");
   }
+  CODS_RETURN_NOT_OK(in->Need(size_t{word_count} * 8));
   std::vector<uint64_t> words;
   words.reserve(word_count);
   for (uint32_t i = 0; i < word_count; ++i) {
@@ -152,6 +153,7 @@ Result<ValueBitmap> ReadValueBitmap(BinaryReader* in, uint64_t rows) {
       if (count > kMaxReasonableCount) {
         return Status::Corruption("implausible position count");
       }
+      CODS_RETURN_NOT_OK(in->Need(size_t{count} * 4));
       std::vector<uint32_t> positions;
       positions.reserve(count);
       for (uint32_t i = 0; i < count; ++i) {
@@ -173,6 +175,7 @@ Result<ValueBitmap> ReadValueBitmap(BinaryReader* in, uint64_t rows) {
       if (word_count > kMaxReasonableCount) {
         return Status::Corruption("implausible bitset word count");
       }
+      CODS_RETURN_NOT_OK(in->Need(size_t{word_count} * 8));
       std::vector<uint64_t> words;
       words.reserve(word_count);
       for (uint32_t i = 0; i < word_count; ++i) {

@@ -102,10 +102,12 @@ class BinaryReader {
   size_t position() const { return pos_; }
   /// True when the whole buffer has been consumed.
   bool AtEnd() const { return pos_ == size_; }
-
- private:
+  /// OK when at least `n` more bytes remain; otherwise a Corruption
+  /// naming `n`. Loaders check a claimed element count × element size
+  /// here before reserving room for the elements.
   Status Need(size_t n) const;
 
+ private:
   const uint8_t* data_;
   size_t size_;
   size_t pos_ = 0;

@@ -65,6 +65,40 @@ TEST(BitmapSerde, RejectsInconsistentHeader) {
   EXPECT_TRUE(ReadBitmap(&r).status().IsCorruption());
 }
 
+// A count field claiming 2^30 - 1 elements in a buffer of a few bytes
+// is Corruption naming the whole claimed byte length, checked before
+// anything is reserved — not an 8 GB reserve() followed by a short read.
+TEST(BitmapSerde, ClaimedCountsAreBoundedByTheBytesLeft) {
+  constexpr uint32_t kClaimed = (1u << 30) - 1;
+  const std::string words_need = "(need " + std::to_string(
+      uint64_t{kClaimed} * 8) + ")";
+  const std::string positions_need = "(need " + std::to_string(
+      uint64_t{kClaimed} * 4) + ")";
+  auto expect_corruption = [](const Status& st, const std::string& need) {
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+    EXPECT_NE(st.message().find(need), std::string::npos) << st.ToString();
+  };
+  {
+    BinaryWriter w;  // WAH header: num_bits, tail, tail_bits, word_count
+    w.U64(64);
+    w.U64(0);
+    w.U8(0);
+    w.U32(kClaimed);
+    w.U64(0);
+    BinaryReader r(w.buffer());
+    expect_corruption(ReadBitmap(&r).status(), words_need);
+  }
+  for (BitmapRep rep : {BitmapRep::kArray, BitmapRep::kBitset}) {
+    BinaryWriter w;
+    w.U8(static_cast<uint8_t>(rep));
+    w.U32(kClaimed);
+    w.U64(0);
+    BinaryReader r(w.buffer());
+    expect_corruption(ReadValueBitmap(&r, 64).status(),
+                      rep == BitmapRep::kArray ? positions_need : words_need);
+  }
+}
+
 TEST(ValueSerde, AllTypesRoundTrip) {
   for (const Value& v : {Value(int64_t{-7}), Value(2.5), Value("text"),
                          Value(std::string())}) {

@@ -4,15 +4,20 @@
 // bounds, and full loopback integration — execute/prepare over TCP,
 // shared-eval batching, prepared-statement invalidation across online
 // schema evolution, heavy-flood no-starvation, statement timeouts, and
-// graceful shutdown that never drops an acked durable commit.
+// graceful shutdown that never drops an acked durable commit, retired
+// versions freed by the committing writer, and the output bound on a
+// client that pipelines without reading.
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
@@ -1044,6 +1049,124 @@ TEST(Server, LargeResultsDrainInOrderUnderBackpressure) {
     EXPECT_EQ(resp.ValueOrDie().rows, want.ValueOrDie().rows) << id;
   }
   EXPECT_EQ(ts.srv->GetStats().protocol_errors, 0u);
+}
+
+// A session pins no snapshot between statements, so the version a
+// commit retires is freed by the writer before its ack, not by some
+// reader's next statement: once DROP TABLE is acked, the dropped table
+// is gone, whoever else is connected.
+TEST(Server, RetiredVersionsDieOnTheWriterNotOnTheNextRead) {
+  TestServer ts({}, /*with_big_table=*/true);
+  auto idle = ts.Connect();
+  auto reader = ts.Connect();
+  auto writer = ts.Connect();
+
+  auto count = reader->Execute("SELECT COUNT(*) FROM B;");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  ASSERT_EQ(count.ValueOrDie().type, FrameType::kResultCount)
+      << server::FormatWireResponse(count.ValueOrDie());
+  EXPECT_EQ(count.ValueOrDie().count, 20'000u);
+
+  // The reader's batch drops its pin after answering; no session keeps
+  // one.
+  const SnapshotCatalog* serving = ts.db->versions()->serving();
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (serving->GetStats().live_pins != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(serving->GetStats().live_pins, 0);
+
+  std::weak_ptr<const Table> b;
+  {
+    Snapshot snap = ts.db->GetSnapshot();
+    b = snap.root().Lookup("B");
+  }
+  ASSERT_FALSE(b.expired());
+
+  auto dropped = writer->Execute("DROP TABLE B;");
+  ASSERT_TRUE(dropped.ok()) << dropped.status().ToString();
+  ASSERT_EQ(dropped.ValueOrDie().type, FrameType::kResultOk)
+      << server::FormatWireResponse(dropped.ValueOrDie());
+  EXPECT_TRUE(b.expired()) << "a session still pins the retired root";
+
+  auto gone = reader->Execute("SELECT COUNT(*) FROM B;");
+  ASSERT_TRUE(gone.ok()) << gone.status().ToString();
+  ASSERT_EQ(gone.ValueOrDie().type, FrameType::kError)
+      << server::FormatWireResponse(gone.ValueOrDie());
+  EXPECT_TRUE(gone.ValueOrDie().error.IsKeyError())
+      << gone.ValueOrDie().error.ToString();
+  auto r = reader->Execute("SELECT COUNT(*) FROM R;");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.ValueOrDie().count, 7u);
+}
+
+// A client that pipelines statements and never reads its answers: an
+// in-flight slot is released when its answer is queued, so without an
+// output bound the server would keep reading, executing and buffering
+// for as long as the client keeps sending. With one frame's worth of
+// answers unsent the loop stops reading that socket; the rest of the
+// client's statements wait in TCP, the statements executed stop
+// growing, and other sessions are served throughout.
+TEST(Server, PipeliningClientThatNeverReadsIsBounded) {
+  server::ServerOptions options;
+  options.max_frame_bytes = 4096;
+  TestServer ts(options);
+  auto bystander = ts.Connect();
+
+  int fd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  int rcvbuf = 4096;  // keep the kernel from absorbing many answers
+  setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
+  sockaddr_in addr;
+  memset(&addr, 0, sizeof addr);
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(ts.srv->port());
+  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_EQ(fcntl(fd, F_SETFL, fcntl(fd, F_GETFL, 0) | O_NONBLOCK), 0);
+
+  // Each answer (all 7 rows of R) is a few hundred bytes.
+  constexpr size_t kStatements = 100'000;
+  std::string out;
+  for (size_t i = 0; i < kStatements; ++i) {
+    out += server::EncodeExecute(i + 1, "SELECT * FROM R;");
+  }
+  size_t sent = 0;
+  while (sent < out.size()) {
+    ssize_t n = send(fd, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<size_t>(n);
+      continue;
+    }
+    ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+        << strerror(errno);
+    pollfd p{fd, POLLOUT, 0};
+    if (poll(&p, 1, 500) == 0) break;  // the server stopped reading
+  }
+
+  // Executions stop growing once the answers fill the socket buffers
+  // and one frame's worth of wbuf.
+  uint64_t executed = 0;
+  int stable = 0;
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (stable < 5 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    uint64_t now = ts.srv->GetStats().statements_ok;
+    stable = now == executed ? stable + 1 : 0;
+    executed = now;
+  }
+  // What runs is what fits in the kernel's socket buffers (about 6.5k
+  // answers on a 4 MB tcp_wmem host) plus one frame's worth of wbuf and
+  // one read; without the bound all 100k execute.
+  EXPECT_EQ(stable, 5) << "executions kept growing: " << executed;
+  EXPECT_LT(executed, kStatements / 4);
+
+  auto count =
+      bystander->Execute("SELECT COUNT(*) FROM R WHERE Employee = 'Jones';");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count.ValueOrDie().count, 3u);
+  close(fd);
 }
 
 // Graceful shutdown: every admitted statement executes, every response
