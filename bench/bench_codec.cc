@@ -1,9 +1,9 @@
 // The density-adaptive codec vs the all-WAH path (PR 8's tentpole
 // claim): for each representation pair, pairwise AND/OR/AND-count over
 // the same bit content executed through the codec's specialized kernels
-// (BM_Codec*) and through plain WAH merges on the re-encoded interchange
-// form (BM_WahPath*). The committed series document the two regimes the
-// codec targets:
+// (BM_Codec*) and through plain WAH merges on the same content
+// re-encoded as WAH (BM_WahPath*). The committed series document the
+// two regimes the codec targets:
 //
 //   * sparse x sparse (array containers): galloping sorted-set
 //     intersection touches only the set positions, where the WAH merge
@@ -125,7 +125,7 @@ void BM_WahPathAndCount(benchmark::State& state) {
 // ---- k-way union (EvalLeafBitmap shape) ----------------------------------
 //
 // k disjoint-ish sparse operands (one per qualifying dictionary value,
-// ~1/k density each) unioned into the WAH selection form.
+// ~1/k density each) unioned into a selection.
 
 std::vector<ValueBitmap> MakeSparseOperands(int64_t k) {
   std::vector<ValueBitmap> out;
@@ -142,7 +142,7 @@ void BM_CodecOrManySparse(benchmark::State& state) {
   std::vector<const ValueBitmap*> operands;
   for (const ValueBitmap& vb : vbs) operands.push_back(&vb);
   for (auto _ : state) {
-    WahBitmap c = CodecOrManyWah(operands, kBits);
+    ValueBitmap c = CodecOrMany(operands, kBits);
     benchmark::DoNotOptimize(c);
   }
   state.counters["rep_first"] = static_cast<double>(vbs[0].rep());

@@ -14,7 +14,7 @@
 namespace cods {
 namespace {
 
-// Shared setup: the dependent column's bitmaps (on the WAH interchange
+// Shared setup: the dependent column's bitmaps (re-encoded as WAH, the
 // form this ablation compares filter strategies over) and the
 // distinction position list for a given distinct-key count.
 struct FilterSetup {

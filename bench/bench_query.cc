@@ -370,7 +370,8 @@ void BM_Query_PointProject(benchmark::State& state) {
   std::vector<uint64_t> positions = rng.Permutation(r->rows());
   positions.resize(selected);
   std::sort(positions.begin(), positions.end());
-  const WahBitmap selection = WahBitmap::FromPositions(positions, r->rows());
+  const ValueBitmap selection =
+      ValueBitmap::FromWah(WahBitmap::FromPositions(positions, r->rows()));
   const std::vector<std::string> columns{kPayloadColumn, kDependentColumn};
   auto fresh = [&] {
     std::vector<std::shared_ptr<const Column>> cols;

@@ -273,8 +273,9 @@ void IntersectPositionsWithWah(const std::vector<uint32_t>& positions,
   }
 }
 
-// Thread-local dense accumulator for the k-way union kernels; reused
-// across calls so steady-state fan-outs stop allocating.
+// Thread-local dense accumulator for the count-only k-way union; reused
+// across calls so steady-state fan-outs stop allocating. (CodecOrMany
+// accumulates into fresh words, which a bitset result keeps.)
 std::vector<uint64_t>& DenseScratch() {
   thread_local std::vector<uint64_t> scratch;
   return scratch;
@@ -299,18 +300,16 @@ void OrOperandIntoDense(const ValueBitmap& vb, uint64_t* words,
   }
 }
 
-// Accumulates the union of all operands into the thread-local dense
-// scratch; returns the scratch. Shared by CodecOrManyWah / -Count.
-std::vector<uint64_t>& AccumulateUnion(
-    const std::vector<const ValueBitmap*>& operands, uint64_t size) {
-  std::vector<uint64_t>& acc = DenseScratch();
-  acc.assign(DenseWordCount(size), 0);
+// ORs every operand into `acc`, resized to `size` bits and zeroed first.
+// Shared by CodecOrMany / -Count.
+void AccumulateUnion(const std::vector<const ValueBitmap*>& operands,
+                     uint64_t size, std::vector<uint64_t>* acc) {
+  acc->assign(DenseWordCount(size), 0);
   for (const ValueBitmap* vb : operands) {
     CODS_DCHECK(vb->size() == size);
     if (vb->IsAllZeros()) continue;
-    OrOperandIntoDense(*vb, acc.data(), acc.size());
+    OrOperandIntoDense(*vb, acc->data(), acc->size());
   }
-  return acc;
 }
 
 // The union of operands that are all arrays (or empty), as sorted
@@ -339,11 +338,49 @@ std::optional<std::vector<uint32_t>> SparseUnion(
   return merged;
 }
 
+bool AnyEmpty(const std::vector<const ValueBitmap*>& operands) {
+  for (const ValueBitmap* vb : operands) {
+    if (vb->IsAllZeros()) return true;
+  }
+  return false;
+}
+
 bool AllWah(const std::vector<const ValueBitmap*>& operands) {
   for (const ValueBitmap* vb : operands) {
     if (vb->rep() != BitmapRep::kWah) return false;
   }
   return true;
+}
+
+// The WAH payloads of an all-WAH operand set, for the k-way merges.
+std::vector<const WahBitmap*> WahOperands(
+    const std::vector<const ValueBitmap*>& operands) {
+  std::vector<const WahBitmap*> wahs;
+  wahs.reserve(operands.size());
+  for (const ValueBitmap* vb : operands) wahs.push_back(&vb->wah());
+  return wahs;
+}
+
+// The operands in increasing popcount order (ties keep operand order):
+// folding an intersection sparsest first keeps every intermediate as
+// small as the smallest operand and reaches an empty result soonest.
+std::vector<const ValueBitmap*> BySparsity(
+    std::vector<const ValueBitmap*> operands) {
+  std::stable_sort(operands.begin(), operands.end(),
+                   [](const ValueBitmap* a, const ValueBitmap* b) {
+                     return a->CountOnes() < b->CountOnes();
+                   });
+  return operands;
+}
+
+// order[0] & ... & order[n - 1] for n >= 2, folded pairwise; stops at
+// the first empty intermediate.
+ValueBitmap FoldAnd(const std::vector<const ValueBitmap*>& order, size_t n) {
+  ValueBitmap acc = CodecAnd(*order[0], *order[1]);
+  for (size_t i = 2; i < n && !acc.IsAllZeros(); ++i) {
+    acc = CodecAnd(acc, *order[i]);
+  }
+  return acc;
 }
 
 WahBitmap MakeWahFill(bool value, uint64_t size) {
@@ -854,107 +891,23 @@ ValueBitmap CodecNot(const ValueBitmap& a) {
   return ValueBitmap();
 }
 
-// ---- Interchange kernels (ValueBitmap x WAH selection) -------------------
-
-WahBitmap CodecAndWah(const ValueBitmap& a, const WahBitmap& selection) {
-  CODS_DCHECK(a.size() == selection.size());
-  if (a.IsAllZeros() || selection.IsAllZeros()) {
-    return MakeWahFill(false, a.size());
-  }
-  if (a.IsAllOnes()) return selection;
-  if (selection.IsAllOnes()) return a.ToWah();
-  switch (a.rep()) {
-    case BitmapRep::kArray: {
-      WahBitmap out;
-      const std::vector<uint32_t>& positions = a.array_positions();
-      IntersectPositionsWithWah(
-          positions, selection,
-          [&](size_t i) { out.AppendSetBit(positions[i]); });
-      out.AppendRun(false, a.size() - out.size());
-      return out;
-    }
-    case BitmapRep::kWah:
-      return WahAnd(a.wah(), selection);
-    case BitmapRep::kBitset: {
-      // Stream the selection's runs, masking through the dense words.
-      const std::vector<uint64_t>& words = a.bitset_words();
-      WahBitmap out;
-      WahDecoder dec(selection);
-      uint64_t offset = 0;
-      while (!dec.exhausted() && offset < a.size()) {
-        if (dec.is_fill()) {
-          uint64_t span = dec.remaining_groups() * kWahGroupBits;
-          uint64_t end = std::min(offset + span, a.size());
-          if (dec.fill_value()) {
-            for (uint64_t off = offset; off < end; off += kWahGroupBits) {
-              uint64_t nbits = std::min(kWahGroupBits, end - off);
-              out.AppendBits(Extract63(words.data(), words.size(), off),
-                             nbits);
-            }
-          } else {
-            out.AppendRun(false, end - offset);
-          }
-          offset += span;
-          dec.Consume(dec.remaining_groups());
-        } else {
-          uint64_t nbits = std::min(kWahGroupBits, a.size() - offset);
-          out.AppendBits(dec.group_payload() &
-                             Extract63(words.data(), words.size(), offset),
-                         nbits);
-          offset += kWahGroupBits;
-          dec.Consume(1);
-        }
-      }
-      return out;
-    }
-  }
-  return WahBitmap();
-}
-
-uint64_t CodecAndCountWah(const ValueBitmap& a, const WahBitmap& selection) {
-  CODS_DCHECK(a.size() == selection.size());
-  if (a.IsAllZeros() || selection.IsAllZeros()) return 0;
-  if (a.IsAllOnes()) return selection.CountOnes();
-  if (selection.IsAllOnes()) return a.CountOnes();
-  switch (a.rep()) {
-    case BitmapRep::kArray: {
-      uint64_t count = 0;
-      IntersectPositionsWithWah(a.array_positions(), selection,
-                                [&count](size_t) { ++count; });
-      return count;
-    }
-    case BitmapRep::kWah:
-      return WahAndCount(a.wah(), selection);
-    case BitmapRep::kBitset:
-      return DispatchPopcount([&] {
-        return CountWahAndDense(selection, a.bitset_words().data(),
-                                a.bitset_words().size());
-      });
-  }
-  return 0;
-}
-
 // ---- k-way kernels -------------------------------------------------------
 
-WahBitmap CodecOrManyWah(const std::vector<const ValueBitmap*>& operands,
-                         uint64_t size) {
-  if (operands.empty()) return MakeWahFill(false, size);
-  if (operands.size() == 1) return operands[0]->ToWah();
+ValueBitmap CodecOrMany(const std::vector<const ValueBitmap*>& operands,
+                        uint64_t size) {
+  if (operands.empty()) return AllZeros(size);
+  if (operands.size() == 1) return *operands[0];
   if (AllWah(operands)) {
-    std::vector<const WahBitmap*> wahs;
-    wahs.reserve(operands.size());
-    for (const ValueBitmap* vb : operands) wahs.push_back(&vb->wah());
-    return WahOrMany(wahs, size);
+    return ValueBitmap::FromWah(WahOrMany(WahOperands(operands), size));
   }
   if (std::optional<std::vector<uint32_t>> merged =
           SparseUnion(operands, size)) {
-    WahBitmap out;
-    for (uint32_t p : *merged) out.AppendSetBit(p);
-    out.AppendRun(false, size - out.size());
-    return out;
+    return ValueBitmap::FromPositions(std::move(*merged), size);
   }
-  std::vector<uint64_t>& acc = AccumulateUnion(operands, size);
-  return DenseToWah(acc.data(), size);
+  // The accumulator becomes the result's words when the union is dense.
+  std::vector<uint64_t> words;
+  AccumulateUnion(operands, size, &words);
+  return ValueBitmap::FromDenseWords(std::move(words), size);
 }
 
 uint64_t CodecOrManyCount(const std::vector<const ValueBitmap*>& operands,
@@ -962,16 +915,46 @@ uint64_t CodecOrManyCount(const std::vector<const ValueBitmap*>& operands,
   if (operands.empty()) return 0;
   if (operands.size() == 1) return operands[0]->CountOnes();
   if (AllWah(operands)) {
-    std::vector<const WahBitmap*> wahs;
-    wahs.reserve(operands.size());
-    for (const ValueBitmap* vb : operands) wahs.push_back(&vb->wah());
-    return WahOrManyCount(wahs, size);
+    return WahOrManyCount(WahOperands(operands), size);
   }
   if (std::optional<std::vector<uint32_t>> merged =
           SparseUnion(operands, size)) {
     return merged->size();
   }
-  return PopcountWords(AccumulateUnion(operands, size));
+  std::vector<uint64_t>& acc = DenseScratch();
+  AccumulateUnion(operands, size, &acc);
+  return PopcountWords(acc);
+}
+
+ValueBitmap CodecAndMany(const std::vector<const ValueBitmap*>& operands,
+                         uint64_t size) {
+  if (operands.empty()) return ValueBitmap::FromWah(MakeWahFill(true, size));
+  if (AnyEmpty(operands)) return AllZeros(size);
+  if (AllWah(operands)) {
+    return ValueBitmap::FromWah(WahAndMany(WahOperands(operands), size));
+  }
+  const std::vector<const ValueBitmap*> order = BySparsity(operands);
+  if (order.size() == 1) return *order[0];
+  return FoldAnd(order, order.size());
+}
+
+uint64_t CodecAndManyCount(const std::vector<const ValueBitmap*>& operands,
+                           uint64_t size) {
+  if (operands.empty()) return size;
+  if (AnyEmpty(operands)) return 0;
+  if (AllWah(operands)) {
+    return WahAndManyCount(WahOperands(operands), size);
+  }
+  const std::vector<const ValueBitmap*> order = BySparsity(operands);
+  const ValueBitmap& last = *order.back();
+  switch (order.size()) {
+    case 1:
+      return last.CountOnes();
+    case 2:
+      return CodecAndCount(*order[0], last);
+    default:
+      return CodecAndCount(FoldAnd(order, order.size() - 1), last);
+  }
 }
 
 // ---- Position filter -----------------------------------------------------
@@ -1010,14 +993,6 @@ ValueBitmap CodecFilter(const WahPositionFilter& filter,
 
 // ---- Dense selection -----------------------------------------------------
 
-DenseSelection::DenseSelection(const WahBitmap& selection)
-    : size_(selection.size()),
-      ones_(selection.CountOnes()),
-      owned_(DenseWordCount(selection.size()), 0),
-      words_(owned_.data()) {
-  OrWahIntoDense(selection, owned_.data(), owned_.size());
-}
-
 DenseSelection::DenseSelection(const ValueBitmap& vb)
     : size_(vb.size()), ones_(vb.CountOnes()), words_(nullptr) {
   if (vb.rep() == BitmapRep::kBitset) {
@@ -1055,16 +1030,12 @@ DenseSelection::DenseSelection(const DenseSelection& selection,
   ones_ = PopcountWords(owned_);
 }
 
-bool DenseSelection::Pays(const WahBitmap& selection, uint64_t probes) {
-  return probes * selection.NumWords() > DenseWordCount(selection.size());
-}
-
 bool DenseSelection::Pays(const ValueBitmap& vb, uint64_t probes) {
   switch (vb.rep()) {
     case BitmapRep::kArray:
       return false;
     case BitmapRep::kWah:
-      return Pays(vb.wah(), probes);
+      return probes * vb.wah().NumWords() > DenseWordCount(vb.size());
     case BitmapRep::kBitset:
       return true;
   }
@@ -1118,15 +1089,6 @@ void DenseSelection::AndPositions(const ValueBitmap& vb,
   vb.ForEachSetBit([&](uint64_t pos) {
     if ((words_[pos >> 6] >> (pos & 63)) & 1) out->push_back(pos);
   });
-}
-
-std::vector<ValueBitmap> ToValueBitmaps(std::vector<WahBitmap> wahs) {
-  std::vector<ValueBitmap> out;
-  out.reserve(wahs.size());
-  for (WahBitmap& wah : wahs) {
-    out.push_back(ValueBitmap::FromWah(std::move(wah)));
-  }
-  return out;
 }
 
 }  // namespace cods

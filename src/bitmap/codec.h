@@ -11,12 +11,17 @@
 //               become galloping sorted-set merges over just the set
 //               positions; a position filter is a per-element rank.
 //   * kWah    — the paper's WAH runs (bitmap/wah_bitmap.h), for the
-//               mixed regime and as the interchange form every kernel
-//               can produce and consume.
+//               mixed regime and for homogeneous bitmaps (one fill
+//               word).
 //   * kBitset — raw uint64_t words, for dense values. AND/OR/count are
 //               word-parallel loops the compiler auto-vectorizes; the
 //               counting loops run as POPCNT or portable instances
 //               (bitmap/popcount.h).
+//
+// `ValueBitmap` is also the query layer's selection type: a WHERE
+// evaluates leaf to root through the k-way kernels below, and every
+// consumer (projection, ORDER BY walk, join count, GROUP BY, PARTITION)
+// reads the result with the same kernels the column bitmaps use.
 //
 // Determinism contract (extends the canonical-form contract of
 // WahBitmap): the representation is a pure function of
@@ -38,6 +43,7 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bitmap/wah_bitmap.h"
@@ -135,24 +141,41 @@ class ValueBitmap {
   /// Positions of all set bits, increasing.
   std::vector<uint64_t> SetPositions() const;
 
-  /// Calls `fn(uint64_t pos)` for each set bit in increasing order.
+  /// Calls `fn(uint64_t pos)` for each set bit in increasing order. A
+  /// `fn` that returns bool stops the walk by returning false.
   template <typename Fn>
   void ForEachSetBit(Fn&& fn) const {
+    auto visit = [&fn](uint64_t pos) {
+      if constexpr (std::is_same_v<std::invoke_result_t<Fn&, uint64_t>,
+                                   bool>) {
+        return fn(pos);
+      } else {
+        fn(pos);
+        return true;
+      }
+    };
     switch (rep_) {
       case BitmapRep::kArray:
-        for (uint32_t p : positions_) fn(static_cast<uint64_t>(p));
+        for (uint32_t p : positions_) {
+          if (!visit(static_cast<uint64_t>(p))) return;
+        }
         return;
       case BitmapRep::kWah: {
         WahSetBitIterator it(wah_);
         uint64_t pos;
-        while (it.Next(&pos)) fn(pos);
+        while (it.Next(&pos)) {
+          if (!visit(pos)) return;
+        }
         return;
       }
       case BitmapRep::kBitset:
         for (size_t w = 0; w < words_.size(); ++w) {
           uint64_t word = words_[w];
           while (word != 0) {
-            fn(w * 64 + static_cast<uint64_t>(std::countr_zero(word)));
+            if (!visit(w * 64 +
+                       static_cast<uint64_t>(std::countr_zero(word)))) {
+              return;
+            }
             word &= word - 1;
           }
         }
@@ -160,7 +183,7 @@ class ValueBitmap {
     }
   }
 
-  /// Re-encodes into the canonical WAH interchange form.
+  /// Re-encodes as canonical WAH (the v1/v2 image writer).
   WahBitmap ToWah() const;
 
   /// Appends this bitmap's full content after `out`'s bits (the UNION
@@ -216,10 +239,9 @@ class ValueBitmap {
 
 // ---- Kernels (specialized per representation pair) -----------------------
 //
-// All pairwise kernels require a.size() == b.size(). Results are
-// ValueBitmaps in their own density-chosen representation; the *Wah
-// variants produce canonical WAH directly for callers on the interchange
-// form (query selections).
+// All kernels require operands of one size. Results are ValueBitmaps in
+// their own density-chosen representation, so a result never depends on
+// which path or operand order produced it.
 
 ValueBitmap CodecAnd(const ValueBitmap& a, const ValueBitmap& b);
 ValueBitmap CodecOr(const ValueBitmap& a, const ValueBitmap& b);
@@ -230,27 +252,31 @@ ValueBitmap CodecNot(const ValueBitmap& a);
 /// bitset pairs, run-walks against WAH.
 uint64_t CodecAndCount(const ValueBitmap& a, const ValueBitmap& b);
 
-/// a & selection as canonical WAH (the WHERE-narrowing path).
-WahBitmap CodecAndWah(const ValueBitmap& a, const WahBitmap& selection);
+/// k-way union (EvalExpr leaves and OR nodes: the per-predicate OR over
+/// qualifying values). All-WAH operand sets take the single-pass heap
+/// merge; all-array sets with few positions in total (`K IN (a, b, c)`
+/// on a key column) merge their position lists in O(total ones · log);
+/// any other mix ORs into dense words (scatter for arrays, word-OR for
+/// bitsets, run-deposit for WAH) that become the result's container.
+ValueBitmap CodecOrMany(const std::vector<const ValueBitmap*>& operands,
+                        uint64_t size);
 
-/// |a & selection| without materializing.
-uint64_t CodecAndCountWah(const ValueBitmap& a, const WahBitmap& selection);
-
-/// k-way union over value bitmaps into canonical WAH (EvalLeafBitmap:
-/// the per-predicate OR over qualifying values). All-WAH operand sets
-/// take the single-pass heap merge; all-array sets with few positions
-/// in total (`K IN (a, b, c)` on a key column) merge their position
-/// lists in O(total ones · log) and append the runs; any other mix
-/// switches to a dense word accumulator (scatter for arrays, word-OR for
-/// bitsets, run-deposit for WAH) re-encoded canonically, so the result
-/// is bit-identical every way.
-WahBitmap CodecOrManyWah(const std::vector<const ValueBitmap*>& operands,
-                         uint64_t size);
-
-/// Count-only k-way union (the ValidateInvariants coverage check), on
-/// the same three paths.
+/// Count-only k-way union (the ValidateInvariants coverage check and a
+/// COUNT under an OR root), on the same three paths.
 uint64_t CodecOrManyCount(const std::vector<const ValueBitmap*>& operands,
                           uint64_t size);
+
+/// k-way intersection (EvalExpr AND nodes). All-WAH operand sets take
+/// the single-pass WahAndMany; any other mix folds CodecAnd pairwise,
+/// smallest popcount first, and stops at the first empty result. No
+/// operands means every row.
+ValueBitmap CodecAndMany(const std::vector<const ValueBitmap*>& operands,
+                         uint64_t size);
+
+/// Count-only k-way intersection (a COUNT under an AND root): the same
+/// fold up to the last operand, finished by CodecAndCount.
+uint64_t CodecAndManyCount(const std::vector<const ValueBitmap*>& operands,
+                           uint64_t size);
 
 /// Row-subset projection through a position filter (PARTITION / SELECT
 /// materialization): keeps the bits at the filter's positions, re-based
@@ -263,11 +289,11 @@ ValueBitmap CodecFilter(const WahPositionFilter& filter,
 /// A selection or value bitmap expanded once into raw words, for callers
 /// that probe it with many value bitmaps: the count-only join's
 /// per-value counts, the ORDER BY walk, and GROUP BY's contingency pass
-/// (query/query_engine.h). CodecAndCountWah / CodecAndWah re-walk the
-/// selection's code words on every call; a dense probe costs only the
-/// value's own positions (array), words (bitset) or code words (WAH) —
-/// its set bits, for AndPositions — and two dense operands count with
-/// one word AND + popcount loop.
+/// (query/query_engine.h). CodecAndCount / CodecAnd against a WAH
+/// operand re-walk its code words on every call; a dense probe costs
+/// only the value's own positions (array), words (bitset) or code words
+/// (WAH) — its set bits, for AndPositions — and two dense operands count
+/// with one word AND + popcount loop.
 ///
 /// Contract:
 ///   * A bitset ValueBitmap is used in place, not copied: it must
@@ -279,9 +305,6 @@ ValueBitmap CodecFilter(const WahPositionFilter& filter,
 ///     exactly with CodecAndCount on the same row sets.
 class DenseSelection {
  public:
-  /// Expands a WAH selection.
-  explicit DenseSelection(const WahBitmap& selection);
-
   /// Expands a value bitmap (a bitset is borrowed in place).
   explicit DenseSelection(const ValueBitmap& vb);
 
@@ -292,13 +315,10 @@ class DenseSelection {
   DenseSelection(DenseSelection&&) noexcept = default;
   DenseSelection& operator=(DenseSelection&&) noexcept = default;
 
-  /// The size rule: `probes` WAH walks of `selection` cost more code
-  /// words than one dense copy (one word per 64 rows).
-  static bool Pays(const WahBitmap& selection, uint64_t probes);
-
-  /// The same rule for a value bitmap: the WAH rule for kWah; always
-  /// for kBitset (used in place, so free); never for kArray, whose
-  /// probes are O(positions) already.
+  /// The size rule: for kWah, `probes` walks of its code words cost
+  /// more than one dense copy (one word per 64 rows); always for kBitset
+  /// (used in place, so free); never for kArray, whose probes are
+  /// O(positions) already.
   static bool Pays(const ValueBitmap& vb, uint64_t probes);
 
   [[nodiscard]] uint64_t size() const { return size_; }
@@ -325,10 +345,6 @@ class DenseSelection {
   std::vector<uint64_t> owned_;
   const uint64_t* words_;  // owned_.data(), or a borrowed bitset's words
 };
-
-/// Converts a freshly built WAH vector into codec form (serial; callers
-/// with an ExecContext parallelize per element themselves).
-std::vector<ValueBitmap> ToValueBitmaps(std::vector<WahBitmap> wahs);
 
 }  // namespace cods
 

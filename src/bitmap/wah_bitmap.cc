@@ -42,17 +42,29 @@ Result<WahBitmap> WahBitmap::FromRawParts(std::vector<uint64_t> words,
   if (tail_bits < 64 && (tail >> tail_bits) != 0) {
     return Status::Corruption("WAH tail has bits beyond its length");
   }
+  if (tail_bits > num_bits) {
+    return Status::Corruption("WAH tail longer than the bitmap");
+  }
+  // Every word is checked against the bits the header has left before it
+  // is added, so no claimed length (and no popcount below) can wrap. The
+  // first test bounds groups * kWahGroupBits by word_bits.
+  const uint64_t word_bits = num_bits - tail_bits;
+  const uint64_t max_groups = word_bits / kWahGroupBits;
   uint64_t bits = 0;
   for (uint64_t w : words) {
+    uint64_t groups = 1;
     if (wah::IsFill(w)) {
-      uint64_t groups = wah::FillGroups(w);
+      groups = wah::FillGroups(w);
       if (groups == 0) return Status::Corruption("zero-length WAH fill");
-      bits += groups * kWahGroupBits;
-    } else {
-      bits += kWahGroupBits;
     }
+    if (groups > max_groups || groups * kWahGroupBits > word_bits - bits) {
+      return Status::Corruption("WAH word stream covers more than the " +
+                                std::to_string(num_bits) +
+                                " bits its header claims");
+    }
+    bits += groups * kWahGroupBits;
   }
-  if (bits + tail_bits != num_bits) {
+  if (bits != word_bits) {
     return Status::Corruption(
         "WAH word stream covers " + std::to_string(bits + tail_bits) +
         " bits but header claims " + std::to_string(num_bits));

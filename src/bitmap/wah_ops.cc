@@ -414,13 +414,6 @@ void CheckOperandSizes(const std::vector<const WahBitmap*>& operands,
   }
 }
 
-std::vector<const WahBitmap*> PointersTo(const std::vector<WahBitmap>& bms) {
-  std::vector<const WahBitmap*> out;
-  out.reserve(bms.size());
-  for (const WahBitmap& bm : bms) out.push_back(&bm);
-  return out;
-}
-
 WahBitmap ManyOp(const std::vector<const WahBitmap*>& operands, OpKind op,
                  uint64_t size) {
   CheckOperandSizes(operands, size);
@@ -546,24 +539,6 @@ uint64_t WahOrManyCount(const std::vector<const WahBitmap*>& operands,
 uint64_t WahAndManyCount(const std::vector<const WahBitmap*>& operands,
                          uint64_t size) {
   return ManyOpCount(operands, OpKind::kAnd, size);
-}
-
-WahBitmap WahOrMany(const std::vector<WahBitmap>& operands, uint64_t size) {
-  return ManyOp(PointersTo(operands), OpKind::kOr, size);
-}
-
-WahBitmap WahAndMany(const std::vector<WahBitmap>& operands, uint64_t size) {
-  return ManyOp(PointersTo(operands), OpKind::kAnd, size);
-}
-
-uint64_t WahOrManyCount(const std::vector<WahBitmap>& operands,
-                        uint64_t size) {
-  return ManyOpCount(PointersTo(operands), OpKind::kOr, size);
-}
-
-uint64_t WahAndManyCount(const std::vector<WahBitmap>& operands,
-                         uint64_t size) {
-  return ManyOpCount(PointersTo(operands), OpKind::kAnd, size);
 }
 
 namespace {

@@ -78,23 +78,17 @@ bool WahIntersects(const WahBitmap& a, const WahBitmap& b);
 /// Union of all operands in one pass.
 WahBitmap WahOrMany(const std::vector<const WahBitmap*>& operands,
                     uint64_t size);
-WahBitmap WahOrMany(const std::vector<WahBitmap>& operands, uint64_t size);
 
 /// Intersection of all operands in one pass.
 WahBitmap WahAndMany(const std::vector<const WahBitmap*>& operands,
                      uint64_t size);
-WahBitmap WahAndMany(const std::vector<WahBitmap>& operands, uint64_t size);
 
 /// Number of set bits of the union, never materializing it.
 uint64_t WahOrManyCount(const std::vector<const WahBitmap*>& operands,
                         uint64_t size);
-uint64_t WahOrManyCount(const std::vector<WahBitmap>& operands,
-                        uint64_t size);
 
 /// Number of set bits of the intersection, never materializing it.
 uint64_t WahAndManyCount(const std::vector<const WahBitmap*>& operands,
-                         uint64_t size);
-uint64_t WahAndManyCount(const std::vector<WahBitmap>& operands,
                          uint64_t size);
 
 }  // namespace cods

@@ -35,25 +35,6 @@ Result<std::vector<size_t>> ResolveIndices(
   return out;
 }
 
-// Appends `count` one-bits at [start, start+count) to a builder bitmap
-// whose current size must be <= start (zero-padding the gap).
-void AppendOnesAt(WahBitmap* bm, uint64_t start, uint64_t count) {
-  CODS_DCHECK(bm->size() <= start);
-  bm->AppendRun(false, start - bm->size());
-  bm->AppendRun(true, count);
-}
-
-// Pads every builder to `rows` and wraps them in a Column.
-std::shared_ptr<const Column> FinishColumn(DataType type,
-                                           const Dictionary& dict,
-                                           std::vector<WahBitmap> builders,
-                                           uint64_t rows) {
-  for (WahBitmap& bm : builders) {
-    bm.AppendRun(false, rows - bm.size());
-  }
-  return Column::FromBitmaps(type, dict, std::move(builders), rows);
-}
-
 // Hash map over vid tuples stored row-major in `cols`.
 struct TupleHasher {
   const std::vector<std::vector<Vid>>* cols;

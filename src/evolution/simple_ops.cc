@@ -2,7 +2,6 @@
 
 #include "bitmap/codec.h"
 #include "bitmap/wah_filter.h"
-#include "bitmap/wah_ops.h"
 #include "exec/exec.h"
 #include "exec/parallel_build.h"
 #include "storage/value_compare.h"
@@ -105,7 +104,7 @@ Result<PartitionResult> PartitionTableOp(
   CODS_ASSIGN_OR_RETURN(auto pred_col, src.ColumnByName(column));
   // Selection bitmap: single-pass k-way union of the bitmaps of
   // qualifying dictionary values, evaluated on compressed words.
-  WahBitmap selection;
+  ValueBitmap selection;
   {
     ScopedStep step(observer, opname, "select",
                     column + " " + std::string(CompareOpToString(op)) + " " +
@@ -116,10 +115,10 @@ Result<PartitionResult> PartitionTableOp(
         qualifying.push_back(&pred_col->bitmap(v));
       }
     }
-    selection = CodecOrManyWah(qualifying, src.rows());
+    selection = CodecOrMany(qualifying, src.rows());
   }
   std::vector<uint64_t> pos1 = selection.SetPositions();
-  std::vector<uint64_t> pos2 = WahNot(selection).SetPositions();
+  std::vector<uint64_t> pos2 = CodecNot(selection).SetPositions();
 
   auto build_side = [&](const std::string& name,
                         const std::vector<uint64_t>& positions)

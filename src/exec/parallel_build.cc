@@ -79,6 +79,22 @@ std::vector<WahBitmap> BuildValueBitmaps(const ExecContext& ctx,
   return out;
 }
 
+void AppendOnesAt(WahBitmap* bm, uint64_t start, uint64_t count) {
+  CODS_DCHECK(bm->size() <= start);
+  bm->AppendRun(false, start - bm->size());
+  bm->AppendRun(true, count);
+}
+
+std::shared_ptr<const Column> FinishColumn(DataType type,
+                                           const Dictionary& dict,
+                                           std::vector<WahBitmap> builders,
+                                           uint64_t rows) {
+  for (WahBitmap& bm : builders) {
+    bm.AppendRun(false, rows - bm.size());
+  }
+  return Column::FromBitmaps(type, dict, std::move(builders), rows);
+}
+
 Result<std::shared_ptr<const Column>> FilterColumnBitmaps(
     const ExecContext& ctx, const Column& column,
     const WahPositionFilter& filter) {

@@ -42,6 +42,17 @@ std::vector<WahBitmap> BuildValueBitmaps(const ExecContext& ctx,
                                          const Vid* vid_of_row,
                                          uint64_t rows, uint64_t num_values);
 
+/// Appends `count` one-bits at [start, start + count) to a builder whose
+/// current size must be <= start (zero-padding the gap): the per-value
+/// run appends of the join and mergence output builders.
+void AppendOnesAt(WahBitmap* bm, uint64_t start, uint64_t count);
+
+/// Pads every builder to `rows` and wraps them in a Column.
+std::shared_ptr<const Column> FinishColumn(DataType type,
+                                           const Dictionary& dict,
+                                           std::vector<WahBitmap> builders,
+                                           uint64_t rows);
+
 /// Shrinks every value bitmap of `column` through `filter` (one task per
 /// vid) and rebuilds the column at filter.num_positions() rows with the
 /// full source dictionary, zero-count values included — the

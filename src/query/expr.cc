@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "bitmap/codec.h"
-#include "bitmap/wah_ops.h"
 #include "common/logging.h"
 #include "storage/value_compare.h"
 
@@ -267,7 +266,7 @@ bool ProbeOrderEqual(const Dictionary& dict, const Value& literal,
 // One leaf to its selection bitmap: the qualifying value bitmaps into a
 // single-pass k-way union, then an optional complement for a residual
 // NOT.
-Result<WahBitmap> EvalLeafBitmap(const Table& table, const Expr& leaf) {
+Result<ValueBitmap> EvalLeafBitmap(const Table& table, const Expr& leaf) {
   const Expr* inner = &leaf;
   bool negate = false;
   if (leaf.kind == ExprKind::kNot) {
@@ -281,38 +280,60 @@ Result<WahBitmap> EvalLeafBitmap(const Table& table, const Expr& leaf) {
   for (Vid vid : MatchingVids(*col, *inner)) {
     qualifying.push_back(&col->bitmap(vid));
   }
-  WahBitmap bm = CodecOrManyWah(qualifying, table.rows());
-  if (negate) return WahNot(bm);
+  ValueBitmap bm = CodecOrMany(qualifying, table.rows());
+  if (negate) return CodecNot(bm);
   return bm;
 }
 
 // Evaluates every leaf of the normalized tree in parallel (one task per
 // leaf). Every leaf always runs, so invalid leaves error identically at
 // every thread count; the first error in DFS leaf order wins.
-Result<std::vector<WahBitmap>> EvalAllLeaves(
+Result<std::vector<ValueBitmap>> EvalAllLeaves(
     const ExecContext& ctx, const Table& table,
     const std::vector<const Expr*>& leaves) {
-  std::vector<Result<WahBitmap>> slots(leaves.size(),
-                                       Result<WahBitmap>(WahBitmap()));
+  std::vector<Result<ValueBitmap>> slots(leaves.size(),
+                                         Result<ValueBitmap>(ValueBitmap()));
   Status st = ParallelFor(ctx, 0, leaves.size(), 1, [&](uint64_t i) {
     slots[i] = EvalLeafBitmap(table, *leaves[i]);
     return Status::OK();
   });
   CODS_CHECK(st.ok()) << st.ToString();
-  std::vector<WahBitmap> evaluated;
+  std::vector<ValueBitmap> evaluated;
   evaluated.reserve(leaves.size());
-  for (Result<WahBitmap>& slot : slots) {
+  for (Result<ValueBitmap>& slot : slots) {
     CODS_RETURN_NOT_OK(slot.status());
     evaluated.push_back(std::move(slot).ValueOrDie());
   }
   return evaluated;
 }
 
+ValueBitmap Combine(const Expr& node, uint64_t rows,
+                    std::vector<ValueBitmap>& slots, size_t& cursor);
+
+// The combined children of an AND/OR node, in child order.
+std::vector<ValueBitmap> CombineChildren(const Expr& node, uint64_t rows,
+                                         std::vector<ValueBitmap>& slots,
+                                         size_t& cursor) {
+  std::vector<ValueBitmap> kids;
+  kids.reserve(node.children.size());
+  for (const ExprPtr& child : node.children) {
+    kids.push_back(Combine(*child, rows, slots, cursor));
+  }
+  return kids;
+}
+
+std::vector<const ValueBitmap*> Pointers(const std::vector<ValueBitmap>& v) {
+  std::vector<const ValueBitmap*> out;
+  out.reserve(v.size());
+  for (const ValueBitmap& vb : v) out.push_back(&vb);
+  return out;
+}
+
 // Bottom-up combine over the normalized tree. `cursor` walks the leaf
 // slots in the same DFS order CollectLeaves produced; each slot is
 // consumed (moved) exactly once.
-WahBitmap Combine(const Expr& node, uint64_t rows,
-                  std::vector<WahBitmap>& slots, size_t& cursor) {
+ValueBitmap Combine(const Expr& node, uint64_t rows,
+                    std::vector<ValueBitmap>& slots, size_t& cursor) {
   switch (node.kind) {
     case ExprKind::kCompare:
     case ExprKind::kIn:
@@ -321,28 +342,13 @@ WahBitmap Combine(const Expr& node, uint64_t rows,
       return std::move(slots[cursor++]);
     case ExprKind::kAnd:
     case ExprKind::kOr: {
-      std::vector<WahBitmap> kids;
-      kids.reserve(node.children.size());
-      for (const ExprPtr& child : node.children) {
-        kids.push_back(Combine(*child, rows, slots, cursor));
-      }
-      if (node.kind == ExprKind::kAnd) {
-        // O(1) per-child emptiness skips the k-way AND entirely;
-        // pairwise-disjoint operands are handled by zero-fill
-        // annihilation inside the single k-way merge.
-        for (const WahBitmap& k : kids) {
-          if (k.IsAllZeros()) {
-            WahBitmap none;
-            none.AppendRun(false, rows);
-            return none;
-          }
-        }
-        return WahAndMany(kids, rows);
-      }
-      return WahOrMany(kids, rows);
+      const std::vector<ValueBitmap> kids =
+          CombineChildren(node, rows, slots, cursor);
+      return node.kind == ExprKind::kAnd ? CodecAndMany(Pointers(kids), rows)
+                                         : CodecOrMany(Pointers(kids), rows);
     }
   }
-  return WahBitmap();
+  return ValueBitmap();
 }
 
 }  // namespace
@@ -376,13 +382,13 @@ ExprPtr NormalizeExpr(const ExprPtr& expr) {
   return Normalize(expr, false);
 }
 
-Result<WahBitmap> EvalExpr(const Table& table, const ExprPtr& expr,
-                           const ExecContext* ctx) {
+Result<ValueBitmap> EvalExpr(const Table& table, const ExprPtr& expr,
+                             const ExecContext* ctx) {
   ExprPtr root = NormalizeExpr(expr);
   std::vector<const Expr*> leaves;
   CollectLeaves(*root, &leaves);
   CODS_ASSIGN_OR_RETURN(
-      std::vector<WahBitmap> slots,
+      std::vector<ValueBitmap> slots,
       EvalAllLeaves(ResolveContext(ctx), table, leaves));
   size_t cursor = 0;
   return Combine(*root, table.rows(), slots, cursor);
@@ -394,7 +400,7 @@ Result<uint64_t> EvalExprCount(const Table& table, const ExprPtr& expr,
   std::vector<const Expr*> leaves;
   CollectLeaves(*root, &leaves);
   CODS_ASSIGN_OR_RETURN(
-      std::vector<WahBitmap> slots,
+      std::vector<ValueBitmap> slots,
       EvalAllLeaves(ResolveContext(ctx), table, leaves));
   size_t cursor = 0;
   // The root node's bitmap is never materialized: its children combine
@@ -402,18 +408,11 @@ Result<uint64_t> EvalExprCount(const Table& table, const ExprPtr& expr,
   switch (root->kind) {
     case ExprKind::kAnd:
     case ExprKind::kOr: {
-      std::vector<WahBitmap> kids;
-      kids.reserve(root->children.size());
-      for (const ExprPtr& child : root->children) {
-        kids.push_back(Combine(*child, table.rows(), slots, cursor));
-      }
-      if (root->kind == ExprKind::kAnd) {
-        for (const WahBitmap& k : kids) {
-          if (k.IsAllZeros()) return 0;
-        }
-        return WahAndManyCount(kids, table.rows());
-      }
-      return WahOrManyCount(kids, table.rows());
+      const std::vector<ValueBitmap> kids =
+          CombineChildren(*root, table.rows(), slots, cursor);
+      return root->kind == ExprKind::kAnd
+                 ? CodecAndManyCount(Pointers(kids), table.rows())
+                 : CodecOrManyCount(Pointers(kids), table.rows());
     }
     default:
       return Combine(*root, table.rows(), slots, cursor).CountOnes();

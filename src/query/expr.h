@@ -1,6 +1,7 @@
 // The composable predicate AST of the query layer: compare, IN, BETWEEN,
 // NOT, and arbitrarily nested AND/OR over single-column leaves. An Expr
-// compiles onto the compressed-domain WAH kernels instead of a row scan:
+// compiles onto the compressed-domain codec kernels instead of a row
+// scan:
 //
 //   1. Normalize: NOT is pushed down De Morgan-style (NOT over AND/OR
 //      distributes, double NOT cancels) and NOT over a comparison folds
@@ -15,11 +16,13 @@
 //      bitmaps. Leaves evaluate in parallel on the ExecContext (one task
 //      per leaf, pre-sized slots, first error in leaf order), so results
 //      and errors are bit-identical at every thread count.
-//   3. Combine: AND/OR nodes feed their children to WahAndMany/WahOrMany
-//      (one pass, no pairwise intermediates); a residual NOT is a WahNot
+//   3. Combine: AND/OR nodes feed their children to CodecAndMany /
+//      CodecOrMany (bitmap/codec.h); a residual NOT is a CodecNot
 //      complement on top of its leaf. The complement is exact because
 //      every row holds exactly one non-null value per column, so a
-//      column's value bitmaps partition the row domain.
+//      column's value bitmaps partition the row domain. Every
+//      intermediate and the result is a canonical ValueBitmap, so the
+//      selection is representation-identical at every thread count.
 
 #ifndef CODS_QUERY_EXPR_H_
 #define CODS_QUERY_EXPR_H_
@@ -28,7 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "bitmap/wah_bitmap.h"
+#include "bitmap/codec.h"
 #include "common/compare.h"
 #include "exec/exec.h"
 #include "storage/table.h"
@@ -103,8 +106,8 @@ std::vector<Vid> MatchingVids(const Column& column, const Expr& leaf);
 /// Normalizes, evaluates every leaf in parallel on `ctx`, and combines
 /// with the k-way kernels. Unknown columns error; the first error in
 /// leaf order wins at every thread count.
-Result<WahBitmap> EvalExpr(const Table& table, const ExprPtr& expr,
-                           const ExecContext* ctx = nullptr);
+Result<ValueBitmap> EvalExpr(const Table& table, const ExprPtr& expr,
+                             const ExecContext* ctx = nullptr);
 
 /// Number of selected rows, using the count-only k-way kernels at the
 /// root (the selection bitmap of the root node is never materialized

@@ -6,7 +6,6 @@
 
 #include "bitmap/codec.h"
 #include "bitmap/wah_filter.h"
-#include "bitmap/wah_ops.h"
 #include "common/logging.h"
 #include "exec/parallel_build.h"
 
@@ -35,25 +34,6 @@ struct Match {
   uint64_t n2 = 0;  // right rows holding the value
 };
 
-// Appends `count` one-bits at [start, start+count) to a builder whose
-// current size must be <= start (zero-padding the gap).
-void AppendOnesAt(WahBitmap* bm, uint64_t start, uint64_t count) {
-  CODS_DCHECK(bm->size() <= start);
-  bm->AppendRun(false, start - bm->size());
-  bm->AppendRun(true, count);
-}
-
-// Pads every builder to `rows` and wraps them in a Column.
-std::shared_ptr<const Column> FinishColumn(DataType type,
-                                           const Dictionary& dict,
-                                           std::vector<WahBitmap> builders,
-                                           uint64_t rows) {
-  for (WahBitmap& bm : builders) {
-    bm.AppendRun(false, rows - bm.size());
-  }
-  return Column::FromBitmaps(type, dict, std::move(builders), rows);
-}
-
 // ---- Key–FK shape (§2.5.1, SQL semantics) ---------------------------------
 //
 // Every matched value is unique on the `keyed` side, so each scan row
@@ -80,7 +60,7 @@ Result<FkOut> FkJoin(const ExecContext& exec, const Table& scan,
   std::vector<const ValueBitmap*> matched;
   matched.reserve(matches.size());
   for (const auto& [sv, kv] : matches) matched.push_back(&sj.bitmap(sv));
-  WahBitmap selection = CodecOrManyWah(matched, scan.rows());
+  const ValueBitmap selection = CodecOrMany(matched, scan.rows());
   const bool all_rows = selection.IsAllOnes();
   std::vector<uint64_t> positions;
   out.scan_cols.resize(scan.num_columns());
@@ -308,8 +288,8 @@ Result<Schema> JoinResultSchema(const Table& left, const Table& right,
 
 Result<uint64_t> CompressedEquiJoinCount(
     const Table& left, const Table& right, size_t left_join,
-    size_t right_join, JoinStats* stats, const WahBitmap* left_selection,
-    const WahBitmap* right_selection, const ExecContext* ctx) {
+    size_t right_join, JoinStats* stats, const ValueBitmap* left_selection,
+    const ValueBitmap* right_selection, const ExecContext* ctx) {
   CODS_CHECK(left_join < left.num_columns());
   CODS_CHECK(right_join < right.num_columns());
   CODS_RETURN_NOT_OK(CheckJoinTypes(left, right, left_join, right_join));
@@ -326,18 +306,18 @@ Result<uint64_t> CompressedEquiJoinCount(
   // value| when the side is filtered. A selection that many values
   // probe is densified once, so each probe costs the value's own words.
   struct Side {
-    const WahBitmap* selection = nullptr;
+    const ValueBitmap* selection = nullptr;
     std::optional<DenseSelection> dense;
     uint64_t Count(const ValueBitmap& vb, uint64_t ones) const {
       if (selection == nullptr) return ones;
-      return dense ? dense->AndCount(vb) : CodecAndCountWah(vb, *selection);
+      return dense ? dense->AndCount(vb) : CodecAndCount(vb, *selection);
     }
   };
   Side sides[2];
-  const WahBitmap* selections[2] = {left_selection, right_selection};
+  const ValueBitmap* selections[2] = {left_selection, right_selection};
   const uint64_t rows[2] = {left.rows(), right.rows()};
   for (int s = 0; s < 2; ++s) {
-    const WahBitmap* sel = selections[s];
+    const ValueBitmap* sel = selections[s];
     if (sel != nullptr && sel->size() != rows[s]) {
       return Status::InvalidArgument(
           "join selection covers " + std::to_string(sel->size()) +

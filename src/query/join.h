@@ -30,7 +30,7 @@
 #include <memory>
 #include <string>
 
-#include "bitmap/wah_bitmap.h"
+#include "bitmap/codec.h"
 #include "exec/exec.h"
 #include "storage/table.h"
 
@@ -82,8 +82,8 @@ Result<Schema> JoinResultSchema(const Table& left, const Table& right,
 Result<uint64_t> CompressedEquiJoinCount(
     const Table& left, const Table& right, size_t left_join,
     size_t right_join, JoinStats* stats = nullptr,
-    const WahBitmap* left_selection = nullptr,
-    const WahBitmap* right_selection = nullptr,
+    const ValueBitmap* left_selection = nullptr,
+    const ValueBitmap* right_selection = nullptr,
     const ExecContext* ctx = nullptr);
 
 }  // namespace cods

@@ -7,7 +7,6 @@
 
 #include "bitmap/codec.h"
 #include "bitmap/wah_filter.h"
-#include "bitmap/wah_ops.h"
 #include "common/logging.h"
 #include "exec/parallel_build.h"
 #include "query/join.h"
@@ -345,12 +344,11 @@ std::optional<std::vector<Vid>> ConstrainedVids(const Table& table,
 // leaf's values.
 Result<std::shared_ptr<const Table>> BuildSelectResult(
     const Table& table, const std::vector<size_t>& indices, Schema schema,
-    const WahBitmap& selection, const ExprPtr& where,
+    const ValueBitmap& selection, const ExprPtr& where,
     const std::string& out_name, const ExecContext& exec) {
-  const ValueBitmap selected = ValueBitmap::FromWah(selection);
   std::optional<WahPositionFilter> filter;
   std::vector<std::optional<std::vector<Vid>>> candidates(indices.size());
-  if (selected.rep() != BitmapRep::kArray && !selected.IsAllZeros()) {
+  if (selection.rep() != BitmapRep::kArray && !selection.IsAllZeros()) {
     filter.emplace(selection.SetPositions(), table.rows());
     if (where != nullptr) {
       const ExprPtr root = NormalizeExpr(where);
@@ -365,23 +363,23 @@ Result<std::shared_ptr<const Table>> BuildSelectResult(
       ParallelFor(exec, 0, indices.size(), 1, [&](uint64_t i) -> Status {
         CODS_ASSIGN_OR_RETURN(
             cols[i], ProjectPresentValues(
-                         exec, *table.column(indices[i]), selected,
+                         exec, *table.column(indices[i]), selection,
                          filter ? &*filter : nullptr,
                          candidates[i] ? &*candidates[i] : nullptr));
         return Status::OK();
       }));
   return Table::Make(out_name, std::move(schema), std::move(cols),
-                     selected.CountOnes());
+                     selection.CountOnes());
 }
 
 // ---- Join COUNT push-down ---------------------------------------------------
 
 // Per-side row selections of a join WHERE pushed below the join.
 struct JoinSides {
-  std::optional<WahBitmap> selection[2];  // [0] left, [1] right
+  std::optional<ValueBitmap> selection[2];  // [0] left, [1] right
 
   // Null for an unfiltered side.
-  const WahBitmap* Selection(int side) const {
+  const ValueBitmap* Selection(int side) const {
     return selection[side] ? &*selection[side] : nullptr;
   }
 };
@@ -450,7 +448,7 @@ std::optional<JoinSides> PushDownJoinWhere(
     Result<ExprPtr> base_where =
         RewriteExprRefs(Expr::And(std::move(side_conjuncts[s])), to_base);
     if (!base_where.ok()) return std::nullopt;
-    Result<WahBitmap> selection =
+    Result<ValueBitmap> selection =
         EvalExpr(*tables[s], base_where.ValueOrDie(), &exec);
     if (!selection.ok()) return std::nullopt;
     out.selection[s] = std::move(selection).ValueOrDie();
@@ -476,7 +474,7 @@ struct PickedRows {
 // directions. `candidates` (sorted vids, or null for all) bounds the
 // walk when a WHERE leaf constrains the sort column.
 PickedRows WalkRanks(const Column& sort_col, bool desc, uint64_t keep,
-                     const WahBitmap* selection,
+                     const ValueBitmap* selection,
                      const std::vector<Vid>* candidates) {
   PickedRows out;
   if (keep == 0) return out;
@@ -500,9 +498,10 @@ PickedRows WalkRanks(const Column& sort_col, bool desc, uint64_t keep,
   const size_t ranks = rank_start.size();
   rank_start.push_back(order.size());
   // The rows of a value bitmap the selection keeps (all of them without
-  // one), increasing. The WAH interchange kernel re-walks the selection
-  // per probe; once those walks would cost more than one dense copy,
-  // the selection is densified. Output never depends on the switch.
+  // one), increasing. CodecAnd re-walks a WAH selection per probe; once
+  // those walks would cost more than one dense copy, the selection is
+  // densified (a bitset one is used in place at once). Output never
+  // depends on the switch.
   std::optional<DenseSelection> dense;
   uint64_t probes = 0;
   auto probe = [&](const ValueBitmap& vb, std::vector<uint64_t>* out) {
@@ -517,9 +516,9 @@ PickedRows WalkRanks(const Column& sort_col, bool desc, uint64_t keep,
       dense->AndPositions(vb, out);
       return;
     }
-    const WahBitmap hit = CodecAndWah(vb, *selection);
-    WahSetBitIterator it(hit);
-    for (uint64_t pos; it.Next(&pos);) out->push_back(pos);
+    CodecAnd(vb, *selection).ForEachSetBit([out](uint64_t pos) {
+      out->push_back(pos);
+    });
   };
   out.positions.reserve(keep);
   std::vector<std::pair<uint64_t, Vid>> tied;
@@ -566,7 +565,7 @@ Result<std::shared_ptr<const Table>> OrderedSelect(
   std::vector<size_t> indices;
   Schema schema;
   CODS_RETURN_NOT_OK(ResolveProjection(table, columns, &indices, &schema));
-  std::optional<WahBitmap> selection;
+  std::optional<ValueBitmap> selection;
   ExprPtr root;
   if (where != nullptr) {
     CODS_ASSIGN_OR_RETURN(selection, EvalExpr(table, where, &exec));
@@ -588,11 +587,11 @@ Result<std::shared_ptr<const Table>> OrderedSelect(
                        candidates ? &*candidates : nullptr);
   } else if (selection) {
     // Pure LIMIT: the first `keep` selected rows.
-    WahSetBitIterator it(*selection);
-    uint64_t pos;
-    while (picked.positions.size() < keep && it.Next(&pos)) {
+    selection->ForEachSetBit([&](uint64_t pos) {
+      if (picked.positions.size() == keep) return false;
       picked.positions.push_back(pos);
-    }
+      return true;
+    });
   } else {
     picked.positions.resize(keep);
     std::iota(picked.positions.begin(), picked.positions.end(), uint64_t{0});
@@ -789,14 +788,14 @@ Result<std::shared_ptr<const Table>> QueryEngine::SelectRows(
                        table.rows());
   }
   ExecContext exec = ResolveContext(ctx);
-  CODS_ASSIGN_OR_RETURN(WahBitmap selection, EvalExpr(table, where, &exec));
+  CODS_ASSIGN_OR_RETURN(ValueBitmap selection, EvalExpr(table, where, &exec));
   return BuildSelectResult(table, indices, std::move(schema), selection,
                            where, out_name, exec);
 }
 
 Result<std::shared_ptr<const Table>> QueryEngine::ProjectSelection(
     const Table& table, const std::vector<std::string>& columns,
-    const WahBitmap& selection, const ExprPtr& where,
+    const ValueBitmap& selection, const ExprPtr& where,
     const std::string& out_name, const ExecContext* ctx) {
   std::vector<size_t> indices;
   Schema schema;
@@ -867,11 +866,13 @@ Result<std::vector<GroupRow>> QueryEngine::GroupByRows(
   ExecContext exec = ResolveContext(ctx);
   // The WHERE is evaluated once and expanded once into dense words; each
   // group folds it in once below, and every group task shares it
-  // read-only.
+  // read-only. A bitset `sel` is borrowed in place, so it must outlive
+  // `selection`.
+  ValueBitmap sel;
   std::optional<DenseSelection> selection;
   const bool filtered = where != nullptr;
   if (filtered) {
-    CODS_ASSIGN_OR_RETURN(WahBitmap sel, EvalExpr(table, where, &exec));
+    CODS_ASSIGN_OR_RETURN(sel, EvalExpr(table, where, &exec));
     selection.emplace(sel);
   }
   // Hoist per-measure emptiness out of the O(v_group · v_measure) loop.

@@ -224,7 +224,7 @@ class QueryEngine {
   /// in source-vid order.
   static Result<std::shared_ptr<const Table>> ProjectSelection(
       const Table& table, const std::vector<std::string>& columns,
-      const WahBitmap& selection, const ExprPtr& where,
+      const ValueBitmap& selection, const ExprPtr& where,
       const std::string& out_name, const ExecContext* ctx = nullptr);
 
   /// SELECT COUNT(*) FROM table WHERE where — never materializes rows.

@@ -74,7 +74,7 @@ std::vector<BatchOutcome> ExecuteQueryBatch(
       continue;
     }
     const Table& table = *table_r.ValueOrDie();
-    Result<WahBitmap> bitmap_r = EvalExpr(table, first.where, &exec);
+    Result<ValueBitmap> bitmap_r = EvalExpr(table, first.where, &exec);
     if (!bitmap_r.ok()) {
       for (size_t i : members) {
         BatchOutcome out;
@@ -83,7 +83,7 @@ std::vector<BatchOutcome> ExecuteQueryBatch(
       }
       continue;
     }
-    const WahBitmap& selection = bitmap_r.ValueOrDie();
+    const ValueBitmap& selection = bitmap_r.ValueOrDie();
     if (stats != nullptr) {
       ++stats->shared_groups;
       stats->batch_hits += members.size() - 1;

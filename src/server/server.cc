@@ -71,6 +71,7 @@ struct Server::Conn {
 
   // Loop-thread-only read state.
   std::string rbuf;
+  bool held = false;  // rbuf holds frames paused at the in-flight cap
 
   // Write state, shared with workers.
   std::mutex mu;
@@ -230,15 +231,9 @@ void Server::EventLoop() {
           std::lock_guard<std::mutex> cl(conn->mu);
           if (conn->closed) continue;
           if (!conn->wbuf.empty()) events |= POLLOUT;
-          // Backpressure: at the in-flight cap, or with a frame's worth
-          // of answers unsent (a slot frees when its answer is queued,
-          // not sent), the socket goes unread, so the client's sends
-          // eventually block in TCP.
-          if (!draining && !conn->close_after_flush &&
-              conn->in_flight < options_.session_queue_limit &&
-              conn->wbuf.size() < options_.max_frame_bytes) {
-            events |= POLLIN;
-          }
+          // Frames already read but held back are decoded before the
+          // socket is read again, so rbuf stays bounded by one read.
+          if (!conn->held && MayAdmit(*conn)) events |= POLLIN;
         }
         fds.push_back({fd, events, 0});
         polled.push_back(conn);
@@ -266,7 +261,13 @@ void Server::EventLoop() {
         continue;
       }
       if (re & POLLOUT) FlushConn(conn);
-      if (re & POLLIN) ReadConn(conn);
+      // Every response wakes the loop, so held frames resume as soon as
+      // one frees a slot.
+      if (re & POLLIN) {
+        ReadConn(conn);
+      } else if (conn->held) {
+        DecodeFrames(conn);
+      }
     }
   }
 }
@@ -308,9 +309,20 @@ void Server::CloseConn(const std::shared_ptr<Conn>& conn) {
   ++stats_.sessions_closed;
 }
 
+bool Server::MayAdmit(const Conn& conn) const {
+  // Backpressure: at the in-flight cap, or with a frame's worth of
+  // answers unsent (a slot frees when its answer is queued, not sent),
+  // no more frames are admitted and the socket goes unread, so the
+  // client's sends eventually block in TCP.
+  return !draining_.load() && !conn.close_after_flush && !conn.closed &&
+         conn.in_flight < options_.session_queue_limit &&
+         conn.wbuf.size() < options_.max_frame_bytes;
+}
+
 void Server::ReadConn(const std::shared_ptr<Conn>& conn) {
-  // One buffer per call, so the loop re-checks the backpressure gate
-  // after at most a buffer's worth of statements.
+  // One buffer per call, and DecodeFrames stops at the backpressure
+  // gate, so a session never has more than one read's worth of frames
+  // waiting in rbuf.
   char buf[64 * 1024];
   for (;;) {
     ssize_t n = recv(conn->fd, buf, sizeof buf, 0);
@@ -327,14 +339,25 @@ void Server::ReadConn(const std::shared_ptr<Conn>& conn) {
     CloseConn(conn);
     return;
   }
-  // Decode every complete frame in the buffer.
-  for (;;) {
+  DecodeFrames(conn);
+}
+
+void Server::DecodeFrames(const std::shared_ptr<Conn>& conn) {
+  conn->held = false;
+  while (!conn->rbuf.empty()) {
+    {
+      std::lock_guard<std::mutex> cl(conn->mu);
+      if (!MayAdmit(*conn)) {
+        conn->held = true;
+        return;
+      }
+    }
     Frame frame;
     size_t consumed = 0;
     Status error;
     DecodeStatus ds = DecodeFrame(conn->rbuf, options_.max_frame_bytes, &frame,
                                   &consumed, &error);
-    if (ds == DecodeStatus::kNeedMore) break;
+    if (ds == DecodeStatus::kNeedMore) return;
     if (ds == DecodeStatus::kError) {
       // Hostile or corrupt input: answer with a typed error, then close
       // the connection — the stream is unsynchronized beyond this point.
@@ -352,8 +375,6 @@ void Server::ReadConn(const std::shared_ptr<Conn>& conn) {
     }
     conn->rbuf.erase(0, consumed);
     HandleFrame(conn, frame);
-    std::lock_guard<std::mutex> cl(conn->mu);
-    if (conn->close_after_flush || conn->closed) break;
   }
 }
 

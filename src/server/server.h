@@ -108,6 +108,11 @@ class Server {
   void WakeLoop();
   void AcceptOne();
   void ReadConn(const std::shared_ptr<Conn>& conn);
+  /// Admits the complete frames in the read buffer while MayAdmit
+  /// holds; the rest stay held for the loop to resume.
+  void DecodeFrames(const std::shared_ptr<Conn>& conn);
+  /// The per-session backpressure gate. Requires conn.mu.
+  bool MayAdmit(const Conn& conn) const;
   void FlushConn(const std::shared_ptr<Conn>& conn);
   void CloseConn(const std::shared_ptr<Conn>& conn);
   void HandleFrame(const std::shared_ptr<Conn>& conn, const Frame& frame);

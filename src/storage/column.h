@@ -51,11 +51,11 @@ class Column {
                                           const ExecContext* ctx = nullptr);
 
   /// Builds directly from prepared WAH bitmaps (used by the evolution
-  /// operators, which emit compressed bitmaps natively on the WAH
-  /// interchange form, and by the image loader for v1/v2 and legacy RLE
-  /// payloads). Each bitmap is re-encoded into its density-chosen
-  /// codec container (on `ctx` when given — bit-identical either way,
-  /// since the representation choice is a pure function of content).
+  /// operators, whose output builders append WAH runs, and by the image
+  /// loader for v1/v2 and legacy RLE payloads). Each bitmap is
+  /// re-encoded into its density-chosen codec container (on `ctx` when
+  /// given — bit-identical either way, since the representation choice
+  /// is a pure function of content).
   /// Every bitmap must have length `rows`, and each row must be covered
   /// by exactly one bitmap (checked lazily by ValidateInvariants).
   static std::shared_ptr<Column> FromBitmaps(DataType type, Dictionary dict,

@@ -314,8 +314,8 @@ void WriteColumn(const Column& column, BinaryWriter* out, uint32_t version) {
       WriteValueBitmap(vb, out);
     }
   } else {
-    // v1/v2 images are WAH-shaped: re-encode through the interchange
-    // form so older readers stay compatible.
+    // v1/v2 images are WAH-shaped: re-encode each container as WAH so
+    // older readers stay compatible.
     for (const ValueBitmap& vb : column.bitmaps()) {
       WriteBitmap(vb.ToWah(), out);
     }

@@ -114,6 +114,14 @@ TEST(ValueBitmap, PointQueriesMatchOracle) {
     std::vector<uint64_t> collected;
     vb.ForEachSetBit([&](uint64_t pos) { collected.push_back(pos); });
     EXPECT_EQ(collected, oracle.SetPositions());
+    // A visitor returning false stops the walk.
+    std::vector<uint64_t> first;
+    vb.ForEachSetBit([&](uint64_t pos) {
+      first.push_back(pos);
+      return first.size() < 3;
+    });
+    collected.resize(std::min<size_t>(collected.size(), 3));
+    EXPECT_EQ(first, collected);
   }
 }
 
@@ -134,17 +142,22 @@ TEST(CodecKernels, PairwiseSweepVsWahOracle) {
         EXPECT_EQ(CodecNot(a), ValueBitmap::FromWah(WahNot(wa)));
         EXPECT_EQ(CodecAndCount(a, b), WahAndCount(wa, wb));
 
-        // Interchange-form kernels against a WAH selection.
-        WahBitmap selection;
-        {
-          Rng rng(seed * 31 + ca.ones + cb.ones);
+        // A WHERE selection of each representation, as the query layer
+        // narrows value bitmaps with it.
+        for (const DensityClass& cs : kClasses) {
+          if (cs.ones == 0 || cs.ones == kSweepSize) continue;
+          WahBitmap wsel;
+          Rng rng(seed * 31 + ca.ones + cb.ones + cs.ones);
+          const double p = static_cast<double>(cs.ones) / kSweepSize;
           for (uint64_t i = 0; i < kSweepSize; ++i) {
-            selection.AppendBit(rng.NextBool(0.2));
+            wsel.AppendBit(rng.NextBool(p));
           }
+          const ValueBitmap selection = ValueBitmap::FromWah(wsel);
+          ASSERT_EQ(selection.rep(), cs.rep) << selection.ToString();
+          EXPECT_EQ(CodecAnd(a, selection),
+                    ValueBitmap::FromWah(WahAnd(wa, wsel)));
+          EXPECT_EQ(CodecAndCount(a, selection), WahAndCount(wa, wsel));
         }
-        EXPECT_EQ(CodecAndWah(a, selection), WahAnd(wa, selection));
-        EXPECT_EQ(CodecAndCountWah(a, selection),
-                  WahAndCount(wa, selection));
       }
     }
   }
@@ -167,17 +180,54 @@ TEST(CodecKernels, OrManyMixedRepsVsOracle) {
     for (const WahBitmap& w : wahs) wah_ptrs.push_back(&w);
 
     WahBitmap oracle = WahOrMany(wah_ptrs, kSweepSize);
-    EXPECT_EQ(CodecOrManyWah(operands, kSweepSize), oracle);
+    const ValueBitmap merged = CodecOrMany(operands, kSweepSize);
+    EXPECT_EQ(merged, ValueBitmap::FromWah(oracle));
+    EXPECT_TRUE(merged.Validate(kSweepSize).ok());
     EXPECT_EQ(CodecOrManyCount(operands, kSweepSize), oracle.CountOnes());
 
     // Subsets exercise the all-WAH fast path and single-operand cases.
     std::vector<const ValueBitmap*> just_wah = {operands[4], operands[5]};
-    EXPECT_EQ(CodecOrManyWah(just_wah, kSweepSize),
-              WahOr(*wah_ptrs[4], *wah_ptrs[5]));
+    EXPECT_EQ(CodecOrMany(just_wah, kSweepSize),
+              ValueBitmap::FromWah(WahOr(*wah_ptrs[4], *wah_ptrs[5])));
     std::vector<const ValueBitmap*> one = {operands[2]};
-    EXPECT_EQ(CodecOrManyWah(one, kSweepSize), wahs[2]);
-    EXPECT_EQ(CodecOrManyWah({}, kSweepSize).CountOnes(), 0u);
-    EXPECT_EQ(CodecOrManyWah({}, kSweepSize).size(), kSweepSize);
+    EXPECT_EQ(CodecOrMany(one, kSweepSize), vbs[2]);
+    EXPECT_EQ(CodecOrMany({}, kSweepSize).CountOnes(), 0u);
+    EXPECT_EQ(CodecOrMany({}, kSweepSize).size(), kSweepSize);
+  }
+}
+
+// Every subset of two operands per density class: the k-way AND and its
+// count equal the WAH heap merge, and neither depends on operand order.
+TEST(CodecKernels, AndManyMixedRepsVsOracle) {
+  for (uint64_t seed = 1; seed <= 2; ++seed) {
+    std::vector<ValueBitmap> vbs;
+    std::vector<WahBitmap> wahs;
+    for (const DensityClass& c : kClasses) {
+      for (uint64_t i = 0; i < 2; ++i) {
+        // Full bitmaps are identical; vary the others.
+        vbs.push_back(MakeRandom(kSweepSize, c.ones, seed * 71 + c.ones + i));
+        wahs.push_back(vbs.back().ToWah());
+      }
+    }
+    for (uint32_t mask = 0; mask < (1u << vbs.size()); ++mask) {
+      std::vector<const ValueBitmap*> operands;
+      std::vector<const WahBitmap*> wah_ptrs;
+      for (size_t i = 0; i < vbs.size(); ++i) {
+        if ((mask >> i) & 1) {
+          operands.push_back(&vbs[i]);
+          wah_ptrs.push_back(&wahs[i]);
+        }
+      }
+      SCOPED_TRACE("mask " + std::to_string(mask));
+      const WahBitmap oracle = WahAndMany(wah_ptrs, kSweepSize);
+      const ValueBitmap got = CodecAndMany(operands, kSweepSize);
+      EXPECT_EQ(got, ValueBitmap::FromWah(oracle));
+      EXPECT_TRUE(got.Validate(kSweepSize).ok());
+      EXPECT_EQ(CodecAndManyCount(operands, kSweepSize), oracle.CountOnes());
+      std::reverse(operands.begin(), operands.end());
+      EXPECT_EQ(CodecAndMany(operands, kSweepSize), got);
+      EXPECT_EQ(CodecAndManyCount(operands, kSweepSize), oracle.CountOnes());
+    }
   }
 }
 
@@ -236,9 +286,10 @@ TEST(CodecKernels, AllArrayOrManyMatchesDensePath) {
         const std::string label = "size " + std::to_string(size) + " k " +
                                   std::to_string(k) + " ones " +
                                   std::to_string(ones);
-        EXPECT_EQ(CodecOrManyWah(operands, size), oracle) << label;
-        EXPECT_EQ(CodecOrManyWah(operands, size),
-                  ValueBitmap::FromDenseWords(dense, size).ToWah())
+        EXPECT_EQ(CodecOrMany(operands, size), ValueBitmap::FromWah(oracle))
+            << label;
+        EXPECT_EQ(CodecOrMany(operands, size),
+                  ValueBitmap::FromDenseWords(dense, size))
             << label;
         EXPECT_EQ(CodecOrManyCount(operands, size), oracle.CountOnes())
             << label;
@@ -247,32 +298,27 @@ TEST(CodecKernels, AllArrayOrManyMatchesDensePath) {
   }
 }
 
-TEST(CodecKernels, DenseSelectionMatchesWahInterchangeKernels) {
+TEST(CodecKernels, DenseSelectionMatchesCodecKernels) {
   for (const DensityClass& s : kClasses) {
-    const WahBitmap selection =
-        MakeRandom(kSweepSize, s.ones, 500 + s.ones).ToWah();
+    const ValueBitmap selection = MakeRandom(kSweepSize, s.ones, 500 + s.ones);
     DenseSelection dense(selection);
     for (const DensityClass& c : kClasses) {
       ValueBitmap vb = MakeRandom(kSweepSize, c.ones, 700 + c.ones);
-      EXPECT_EQ(dense.AndCount(vb), CodecAndCountWah(vb, selection))
+      EXPECT_EQ(dense.AndCount(vb), CodecAndCount(vb, selection))
           << s.ones << " x " << c.ones;
       std::vector<uint64_t> positions;
       dense.AndPositions(vb, &positions);
-      EXPECT_EQ(positions, CodecAndWah(vb, selection).SetPositions())
+      EXPECT_EQ(positions, CodecAnd(vb, selection).SetPositions())
           << s.ones << " x " << c.ones;
     }
   }
-  // The size rule: densify once the WAH walks would cost more words
-  // than the dense copy (64 words for 4096 rows).
-  const WahBitmap sparse = MakeRandom(kSweepSize, 30, 9).ToWah();
-  EXPECT_FALSE(DenseSelection::Pays(sparse, 1));
-  EXPECT_TRUE(DenseSelection::Pays(sparse, 1000));
 }
 
 TEST(CodecKernels, DenseSelectionOverValueBitmaps) {
   // Sizes with and without a partial tail word.
   for (uint64_t size : {kSweepSize, kSweepSize + 3}) {
-    const WahBitmap selection = MakeRandom(size, size / 3, 41).ToWah();
+    const ValueBitmap selection = MakeRandom(size, size / 3, 41);
+    ASSERT_EQ(selection.rep(), BitmapRep::kBitset);
     const DenseSelection dense_sel(selection);
     for (const DensityClass& ca : kClasses) {
       const uint64_t a_ones = ca.ones == kSweepSize ? size : ca.ones;
@@ -284,7 +330,7 @@ TEST(CodecKernels, DenseSelectionOverValueBitmaps) {
       EXPECT_EQ(da.size(), size);
       // The GROUP BY fold: selection & a, owned, popcount cached.
       DenseSelection folded(dense_sel, a);
-      const WahBitmap wfolded = WahAnd(wa, selection);
+      const WahBitmap wfolded = WahAnd(wa, selection.ToWah());
       EXPECT_EQ(folded.CountOnes(), wfolded.CountOnes()) << a.ToString();
       if (a.rep() == BitmapRep::kArray) {
         EXPECT_EQ(dense_sel.AndArray(a), ValueBitmap::FromWah(wfolded));
@@ -315,7 +361,10 @@ TEST(CodecKernels, DenseSelectionOverValueBitmaps) {
   EXPECT_TRUE(DenseSelection::Pays(bitset, 1));
   EXPECT_FALSE(DenseSelection::Pays(wah, 0));
   EXPECT_TRUE(DenseSelection::Pays(wah, 64));
-  EXPECT_EQ(DenseSelection::Pays(wah, 2), DenseSelection::Pays(wah.wah(), 2));
+  // The WAH rule: densify once the walks cost more code words than the
+  // dense copy (64 words for 4096 rows).
+  EXPECT_EQ(DenseSelection::Pays(wah, 2), 2 * wah.wah().NumWords() > 64);
+  EXPECT_TRUE(DenseSelection::Pays(wah, 1000));
 }
 
 // Both popcount instances (bitmap/popcount.h) against a bit loop, on

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <limits>
 
-#include "bitmap/wah_ops.h"
 #include "common/random.h"
 #include "gtest/gtest.h"
 #include "server/admission.h"
@@ -49,11 +48,16 @@ bool NaiveMatches(const Expr& e, const Row& row, const Schema& schema) {
   return false;
 }
 
-void ExpectAgreesWithNaive(const Table& table, const ExprPtr& expr) {
+// EvalExpr and EvalExprCount against the row-at-a-time oracle over
+// `rows` (the table's decoded rows). The selection must also be a
+// valid, canonical container of the table's length.
+void ExpectAgreesWithNaive(const Table& table, const ExprPtr& expr,
+                           const std::vector<Row>& rows) {
   auto bm = EvalExpr(table, expr);
   ASSERT_TRUE(bm.ok()) << bm.status().ToString();
+  EXPECT_TRUE(bm->Validate(table.rows()).ok())
+      << expr->ToString() << ": " << bm->Validate(table.rows()).ToString();
   std::vector<uint64_t> selected = bm->SetPositions();
-  std::vector<Row> rows = table.Materialize();
   std::vector<uint64_t> naive;
   for (uint64_t r = 0; r < rows.size(); ++r) {
     if (NaiveMatches(*expr, rows[r], table.schema())) naive.push_back(r);
@@ -63,6 +67,10 @@ void ExpectAgreesWithNaive(const Table& table, const ExprPtr& expr) {
   auto count = EvalExprCount(table, expr);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, naive.size()) << expr->ToString();
+}
+
+void ExpectAgreesWithNaive(const Table& table, const ExprPtr& expr) {
+  ExpectAgreesWithNaive(table, expr, table.Materialize());
 }
 
 TEST(Expr, LeafKinds) {
@@ -242,7 +250,7 @@ TEST(Expr, NotIsExactComplement) {
   ASSERT_TRUE(pos.ok() && neg.ok());
   EXPECT_EQ(pos->CountOnes() + neg->CountOnes(), r->rows());
   // Bit-level: the union is all rows, the intersection empty.
-  EXPECT_EQ(WahAndCount(*pos, *neg), 0u);
+  EXPECT_EQ(CodecAndCount(*pos, *neg), 0u);
 }
 
 // Property sweep on generated data: random-ish nested trees vs naive.
@@ -264,6 +272,92 @@ TEST(Expr, PropertySweepOnGeneratedTable) {
                             {Value(int64_t{1}), Value(int64_t{2}),
                              Value(pivot)}))});
     ExpectAgreesWithNaive(*r, e);
+  }
+}
+
+// Selections of every container, on both sides of each density
+// boundary, through leaves, residual NOTs and mixed AND/OR nodes. Over
+// 6400 rows a selection of at most 100 rows is an array, one of at least
+// 1600 rows a bitset, and anything between (or empty, or full) WAH.
+// Every result must be the canonical container of its content.
+TEST(Expr, SelectionContainersAcrossDensityBoundaries) {
+  constexpr int64_t kRows = 6400;
+  Rng rng(20261019);
+  // K and J: two independent permutations of 0..rows-1, so `K < n`
+  // selects exactly n scattered rows. G: 20 values of about 320 rows
+  // each (WAH), H: 3 values of about 2133 rows each (bitsets).
+  const std::vector<uint64_t> k_perm = rng.Permutation(kRows);
+  const std::vector<uint64_t> j_perm = rng.Permutation(kRows);
+  Schema schema({{"K", DataType::kInt64},
+                 {"J", DataType::kInt64},
+                 {"G", DataType::kInt64},
+                 {"H", DataType::kInt64}},
+                {});
+  std::vector<Row> rows;
+  for (int64_t r = 0; r < kRows; ++r) {
+    rows.push_back({Value(static_cast<int64_t>(k_perm[r])),
+                    Value(static_cast<int64_t>(j_perm[r])),
+                    Value(rng.Uniform(0, 19)), Value(rng.Uniform(0, 2))});
+  }
+  auto t = MakeTable("T", schema, rows);
+  auto i64 = [](int64_t v) { return Value(v); };
+  auto below = [&](const char* col, int64_t n) {
+    return Expr::Compare(col, CompareOp::kLt, i64(n));
+  };
+
+  // Leaves at and around rows/64 = 100 and (rows+3)/4 = 1600.
+  const int64_t sizes[] = {0, 1, 99, 100, 101, 1599, 1600, 1601, kRows};
+  const BitmapRep reps[] = {BitmapRep::kWah,    BitmapRep::kArray,
+                            BitmapRep::kArray,  BitmapRep::kArray,
+                            BitmapRep::kWah,    BitmapRep::kWah,
+                            BitmapRep::kBitset, BitmapRep::kBitset,
+                            BitmapRep::kWah};
+  for (size_t i = 0; i < std::size(sizes); ++i) {
+    auto bm = EvalExpr(*t, below("K", sizes[i]));
+    ASSERT_TRUE(bm.ok());
+    EXPECT_EQ(bm->rep(), reps[i]) << "K < " << sizes[i];
+    EXPECT_EQ(bm->CountOnes(), static_cast<uint64_t>(sizes[i]));
+    ExpectAgreesWithNaive(*t, below("K", sizes[i]), rows);
+  }
+
+  // A residual NOT over a leaf of each container.
+  std::vector<ExprPtr> pool;
+  for (int64_t n : {int64_t{0}, int64_t{50}, int64_t{1000}, int64_t{3000},
+                    kRows}) {
+    ExprPtr leaf = Expr::Between("J", i64(0), i64(n - 1));
+    ExpectAgreesWithNaive(*t, Expr::Not(leaf), rows);
+    pool.push_back(leaf);
+    pool.push_back(Expr::Not(leaf));
+  }
+  // Unions of WAH values (the k-way WAH merge), of bitsets, of many
+  // arrays (the dense accumulator), and of few arrays (the position
+  // merge).
+  pool.push_back(Expr::In("G", {i64(1), i64(5), i64(7)}));
+  pool.push_back(Expr::Not(Expr::In("G", {i64(2), i64(3)})));
+  pool.push_back(Expr::In("H", {i64(0), i64(2)}));
+  pool.push_back(Expr::Compare("H", CompareOp::kEq, i64(1)));
+  pool.push_back(below("K", 101));
+  pool.push_back(below("K", 1601));
+  pool.push_back(Expr::In("K", {i64(3), i64(9), i64(4000)}));
+  pool.push_back(Expr::Compare("G", CompareOp::kGe, i64(0)));
+  for (const ExprPtr& a : pool) {
+    ExpectAgreesWithNaive(*t, a, rows);
+    for (const ExprPtr& b : pool) {
+      ExpectAgreesWithNaive(*t, Expr::And({a, b}), rows);
+      ExpectAgreesWithNaive(*t, Expr::Or({a, b}), rows);
+    }
+  }
+  // Wider and nested mixes, count-only roots included.
+  for (int n = 0; n < 60; ++n) {
+    auto pick = [&] {
+      return pool[static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(pool.size()) - 1))];
+    };
+    ExpectAgreesWithNaive(
+        *t, Expr::And({pick(), pick(), Expr::Or({pick(), pick(), pick()})}),
+        rows);
+    ExpectAgreesWithNaive(
+        *t, Expr::Or({pick(), Expr::And({pick(), pick()}), pick()}), rows);
   }
 }
 

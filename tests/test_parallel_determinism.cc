@@ -172,9 +172,13 @@ TEST(ParallelDeterminismTest, QueryPaths) {
     ExecContext ctx(threads);
     auto conj = EvalExpr(*r, conj_expr, &ctx);
     ASSERT_TRUE(conj.ok());
+    // Representation and payload: the selection's container is a pure
+    // function of its content.
+    EXPECT_EQ(ref_conj->rep(), conj->rep()) << "conjunction @" << threads;
     EXPECT_TRUE(*ref_conj == *conj) << "conjunction @" << threads;
     auto disj = EvalExpr(*r, disj_expr, &ctx);
     ASSERT_TRUE(disj.ok());
+    EXPECT_EQ(ref_disj->rep(), disj->rep()) << "disjunction @" << threads;
     EXPECT_TRUE(*ref_disj == *disj) << "disjunction @" << threads;
     auto count = QueryEngine::CountRows(*r, conj_expr, &ctx);
     ASSERT_TRUE(count.ok());
@@ -236,6 +240,7 @@ TEST(ParallelDeterminismTest, NestedExpressionEvaluation) {
     ExecContext ctx(threads);
     auto bm = EvalExpr(*r, expr, &ctx);
     ASSERT_TRUE(bm.ok());
+    EXPECT_EQ(ref_bm->rep(), bm->rep()) << "expr bitmap @" << threads;
     EXPECT_TRUE(*ref_bm == *bm) << "expr bitmap @" << threads;
     auto count = EvalExprCount(*r, expr, &ctx);
     ASSERT_TRUE(count.ok());

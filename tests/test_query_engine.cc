@@ -1163,9 +1163,9 @@ TEST(QueryEngine, JoinCountWithWhereStaysCountOnly) {
   // The count-only entry point takes the side selections directly.
   auto f = catalog.GetTable("F").ValueOrDie();
   auto d = catalog.GetTable("D").ValueOrDie();
-  WahBitmap v2 =
+  ValueBitmap v2 =
       EvalExpr(*f, Expr::Compare("V", CompareOp::kEq, i64(2))).ValueOrDie();
-  WahBitmap g4 =
+  ValueBitmap g4 =
       EvalExpr(*d, Expr::Compare("G", CompareOp::kLt, i64(4))).ValueOrDie();
   JoinStats stats;
   auto direct = CompressedEquiJoinCount(*f, *d, 0, 0, &stats, &v2, &g4);
@@ -1340,8 +1340,8 @@ TEST(QueryEngine, ProjectionGatherAndFilterMatchDecodeOracle) {
     std::vector<uint64_t> positions(order.begin(),
                                     order.begin() + static_cast<long>(n));
     std::sort(positions.begin(), positions.end());
-    const WahBitmap sel_wah = WahBitmap::FromPositions(positions, rows);
-    const ValueBitmap selection = ValueBitmap::FromWah(sel_wah);
+    const ValueBitmap selection =
+        ValueBitmap::FromWah(WahBitmap::FromPositions(positions, rows));
     const WahPositionFilter filter(positions, rows);
     for (int threads : {1, 4}) {
       ExecContext ctx(threads);
@@ -1361,7 +1361,7 @@ TEST(QueryEngine, ProjectionGatherAndFilterMatchDecodeOracle) {
       }
       // The engine picks gather up to rows/64 selected rows, the filter
       // above; either way the result equals the oracle.
-      auto out = QueryEngine::ProjectSelection(*t, {"k", "d", "s"}, sel_wah,
+      auto out = QueryEngine::ProjectSelection(*t, {"k", "d", "s"}, selection,
                                                nullptr, "out", &ctx);
       ASSERT_TRUE(out.ok()) << out.status().ToString();
       for (size_t c = 0; c < 3; ++c) {
@@ -1672,11 +1672,25 @@ TEST(QueryEngine, GroupByContingencyMatchesRowOracleSweep) {
       {"none", nullptr},
       {"0%", Expr::Compare("m", CompareOp::kEq, Value(999.0))},
       {"sparse", Expr::Compare("k", CompareOp::kLt, i64(10))},
+      {"wah", Expr::Compare("g", CompareOp::kEq, i64(10))},
       {"dense", Expr::Compare("m", CompareOp::kNe, Value(0.1))},
       {"100%", Expr::Compare("k", CompareOp::kGe, i64(0))},
       {"mixed", Expr::Or({Expr::In("g", {i64(20), i64(40)}),
                           Expr::Compare("s", CompareOp::kEq, Value("s3"))})},
   };
+  // The WHERE selections cover every container. GROUP BY borrows a
+  // bitset selection's words in place, so the "dense" and "mixed" cases
+  // read freed memory (under ASan) unless the selection outlives the
+  // pass.
+  const BitmapRep where_reps[] = {BitmapRep::kWah,    BitmapRep::kWah,
+                                  BitmapRep::kArray,  BitmapRep::kWah,
+                                  BitmapRep::kBitset, BitmapRep::kWah,
+                                  BitmapRep::kBitset};
+  for (size_t w = 1; w < wheres.size(); ++w) {
+    EXPECT_EQ(EvalExpr(*table, wheres[w].second).ValueOrDie().rep(),
+              where_reps[w])
+        << wheres[w].first;
+  }
   const std::vector<AggregateSpec> aggs = {
       AggregateSpec::Count(),     AggregateSpec::Sum("m"),
       AggregateSpec::Avg("m"),    AggregateSpec::Min("m"),
@@ -1717,7 +1731,7 @@ TEST(QueryEngine, GroupByContingencyMatchesRowOracleSweep) {
       }
     }
   }
-  EXPECT_EQ(checked, 60);
+  EXPECT_EQ(checked, 70);
 }
 
 }  // namespace

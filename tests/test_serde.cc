@@ -99,6 +99,34 @@ TEST(BitmapSerde, ClaimedCountsAreBoundedByTheBytesLeft) {
   }
 }
 
+// Fill lengths whose sum wraps modulo 2^64 to the header's 71 bits must
+// not load, neither as a v1/v2 bitmap nor as a v3 WAH container.
+TEST(BitmapSerde, FillLengthsAreBoundedByTheHeader) {
+  auto write_payload = [](BinaryWriter* w) {
+    w->U64(71);  // num_bits
+    w->U64(0);   // tail
+    w->U8(0);    // tail_bits
+    w->U32(2);   // word_count
+    w->U64(wah::MakeFill(true, 4538484653055524604ull));
+    w->U64(wah::MakeFill(true, 4538484653055524605ull));
+  };
+  {
+    BinaryWriter w;
+    write_payload(&w);
+    BinaryReader r(w.buffer());
+    Status st = ReadBitmap(&r).status();
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  }
+  {
+    BinaryWriter w;
+    w.U8(static_cast<uint8_t>(BitmapRep::kWah));
+    write_payload(&w);
+    BinaryReader r(w.buffer());
+    Status st = ReadValueBitmap(&r, 71).status();
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  }
+}
+
 TEST(ValueSerde, AllTypesRoundTrip) {
   for (const Value& v : {Value(int64_t{-7}), Value(2.5), Value("text"),
                          Value(std::string())}) {

@@ -1051,6 +1051,40 @@ TEST(Server, LargeResultsDrainInOrderUnderBackpressure) {
   EXPECT_EQ(ts.srv->GetStats().protocol_errors, 0u);
 }
 
+// One send far past the session's in-flight cap: frames beyond the cap
+// wait in the read buffer until answers free slots, so none overflows
+// the lane queue (which alone would answer kUnavailable). The WHEREs
+// differ, so no batch shares an eval, and each costs more to run than to
+// admit.
+TEST(Server, PipelinedBurstPastTheSessionCapIsAdmittedInTurn) {
+  server::ServerOptions options;
+  options.session_queue_limit = 4;
+  options.lane_queue_limit = 8;
+  TestServer ts(options, /*with_big_table=*/true);
+  auto client = ts.Connect();
+  constexpr int kStatements = 200;
+  std::vector<uint64_t> ids;
+  std::vector<uint64_t> want;
+  std::string out;
+  for (int i = 0; i < kStatements; ++i) {
+    const std::string where = "K >= " + std::to_string(i * 7);
+    auto alone = client->Execute("SELECT COUNT(*) FROM B WHERE " + where + ";");
+    ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+    want.push_back(alone.ValueOrDie().count);
+    ids.push_back(client->NextRequestId());
+    out += server::EncodeExecute(
+        ids.back(), "SELECT COUNT(*) FROM B WHERE " + where + ";");
+  }
+  ASSERT_TRUE(client->SendRaw(out).ok());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    auto resp = client->ReceiveFor(ids[i]);
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    ASSERT_EQ(resp.ValueOrDie().type, FrameType::kResultCount)
+        << server::FormatWireResponse(resp.ValueOrDie());
+    EXPECT_EQ(resp.ValueOrDie().count, want[i]);
+  }
+}
+
 // A session pins no snapshot between statements, so the version a
 // commit retires is freed by the writer before its ack, not by some
 // reader's next statement: once DROP TABLE is acked, the dropped table

@@ -8,6 +8,7 @@
 
 #include "bitmap/plain_bitmap.h"
 #include "common/random.h"
+#include "common/result.h"
 #include "gtest/gtest.h"
 
 namespace cods {
@@ -243,6 +244,30 @@ TEST(WahBitmap, FirstSetBitOnAllZeros) {
   WahBitmap bm;
   bm.AppendRun(false, 500);
   EXPECT_EQ(bm.FirstSetBit(), 500u);  // == size(): no set bit
+}
+
+// Two one-fills whose group counts sum, times 63, to 71 modulo 2^64: a
+// loader that adds the claimed lengths unchecked accepts a 71-bit,
+// all-ones bitmap whose runs reach ~2^69 bits past its end.
+TEST(WahBitmap, FromRawPartsRejectsFillsThatOverflowTheHeader) {
+  const std::vector<uint64_t> words = {
+      wah::MakeFill(true, 4538484653055524604ull),
+      wah::MakeFill(true, 4538484653055524605ull)};
+  Result<WahBitmap> bm = WahBitmap::FromRawParts(words, 0, 0, 71);
+  ASSERT_FALSE(bm.ok());
+  EXPECT_TRUE(bm.status().IsCorruption()) << bm.status().ToString();
+  // One fill past the header's length, and a literal past it, too.
+  EXPECT_TRUE(WahBitmap::FromRawParts({wah::MakeFill(false, 2)}, 0, 0, 63)
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(
+      WahBitmap::FromRawParts({1, 1}, 0, 0, 63).status().IsCorruption());
+  EXPECT_TRUE(WahBitmap::FromRawParts({}, 1, 5, 4).status().IsCorruption());
+  // Exact lengths still load.
+  Result<WahBitmap> exact =
+      WahBitmap::FromRawParts({wah::MakeFill(true, 2), 1}, 1, 5, 63 * 3 + 5);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  EXPECT_EQ(exact.ValueOrDie().CountOnes(), 63u * 2 + 2);
 }
 
 TEST(WahDecoder, WalksRunsAndLiterals) {

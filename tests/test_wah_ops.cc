@@ -221,15 +221,6 @@ TEST(WahManyOps, SingleOperandIsIdentity) {
   EXPECT_EQ(WahAndManyCount(just_a, a.size()), a.CountOnes());
 }
 
-TEST(WahManyOps, ValueOverloadsMatchPointerForm) {
-  std::vector<WahBitmap> ops;
-  for (int i = 0; i < 5; ++i) ops.push_back(RandomWah(4000, 0.1, 60 + i));
-  EXPECT_EQ(WahOrMany(ops, 4000), WahOrMany(Ptrs(ops), 4000));
-  EXPECT_EQ(WahAndMany(ops, 4000), WahAndMany(Ptrs(ops), 4000));
-  EXPECT_EQ(WahOrManyCount(ops, 4000), WahOrManyCount(Ptrs(ops), 4000));
-  EXPECT_EQ(WahAndManyCount(ops, 4000), WahAndManyCount(Ptrs(ops), 4000));
-}
-
 TEST(WahManyOps, SingleOperandSizeMismatchIsFatal) {
   WahBitmap a = WahBitmap::FromPositions({1}, 10);
   const std::vector<const WahBitmap*> just_a{&a};
