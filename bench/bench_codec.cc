@@ -148,18 +148,6 @@ void BM_CodecOrManySparse(benchmark::State& state) {
   state.counters["rep_first"] = static_cast<double>(vbs[0].rep());
 }
 
-void BM_WahPathOrManySparse(benchmark::State& state) {
-  std::vector<ValueBitmap> vbs = MakeSparseOperands(state.range(0));
-  std::vector<WahBitmap> wahs;
-  for (const ValueBitmap& vb : vbs) wahs.push_back(vb.ToWah());
-  std::vector<const WahBitmap*> operands;
-  for (const WahBitmap& w : wahs) operands.push_back(&w);
-  for (auto _ : state) {
-    WahBitmap c = WahOrMany(operands, kBits);
-    benchmark::DoNotOptimize(c);
-  }
-}
-
 // Density-pair sweep: array x array, array x WAH, array x bitset,
 // WAH x WAH, WAH x bitset, bitset x bitset.
 void RepPairSweep(benchmark::internal::Benchmark* b) {
@@ -184,7 +172,6 @@ BENCHMARK(BM_WahPathOr)->Apply(RepPairSweep);
 BENCHMARK(BM_CodecAndCount)->Apply(RepPairSweep);
 BENCHMARK(BM_WahPathAndCount)->Apply(RepPairSweep);
 BENCHMARK(BM_CodecOrManySparse)->Apply(KSweep);
-BENCHMARK(BM_WahPathOrManySparse)->Apply(KSweep);
 
 }  // namespace
 }  // namespace cods

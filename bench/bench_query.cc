@@ -103,7 +103,7 @@ void BM_Query_NestedCount(benchmark::State& state) {
 }
 
 // A 16-leaf disjunction over scattered key ranges: after normalization
-// this is ONE 16-way WahOrMany fan-in.
+// this is ONE 16-way CodecOrMany fan-in.
 void BM_Query_WideOrCount(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   auto r = bench::CachedR(kDistinct);

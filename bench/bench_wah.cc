@@ -105,7 +105,7 @@ void BM_WahRecompress(benchmark::State& state) {
   }
 }
 
-// ---- k-way union/intersection: single-pass kernel vs pairwise fold ---------
+// ---- k-way union/intersection as a fold of the pairwise kernels ----------
 //
 // Models a leaf's OR over its qualifying value bitmaps and the AND of a
 // multi-leaf conjunction (EvalExpr): k operands of kBits bits
@@ -136,21 +136,6 @@ std::vector<WahBitmap> MakeOperands(int64_t k) {
   return ops;
 }
 
-std::vector<const WahBitmap*> Ptrs(const std::vector<WahBitmap>& ops) {
-  std::vector<const WahBitmap*> ptrs;
-  for (const WahBitmap& bm : ops) ptrs.push_back(&bm);
-  return ptrs;
-}
-
-void BM_WahOrMany(benchmark::State& state) {
-  std::vector<WahBitmap> ops = MakeOperands(state.range(0));
-  std::vector<const WahBitmap*> ptrs = Ptrs(ops);
-  for (auto _ : state) {
-    WahBitmap u = WahOrMany(ptrs, kKWayBits);
-    benchmark::DoNotOptimize(u);
-  }
-}
-
 void BM_WahOrPairwiseFold(benchmark::State& state) {
   std::vector<WahBitmap> ops = MakeOperands(state.range(0));
   for (auto _ : state) {
@@ -158,29 +143,6 @@ void BM_WahOrPairwiseFold(benchmark::State& state) {
     acc.AppendRun(false, kKWayBits);
     for (const WahBitmap& bm : ops) acc = WahOr(acc, bm);
     benchmark::DoNotOptimize(acc);
-  }
-}
-
-// Fold with the in-place accumulator: each step merges into a recycled
-// buffer and swaps, so the steady state allocates nothing per step —
-// contrast with BM_WahOrPairwiseFold, which materializes (and frees) a
-// fresh bitmap per operand. This is the shape of callers that cannot
-// batch into WahOrMany (operands arrive one at a time).
-void BM_WahOrWithFold(benchmark::State& state) {
-  std::vector<WahBitmap> ops = MakeOperands(state.range(0));
-  for (auto _ : state) {
-    WahBitmap acc;
-    acc.AppendRun(false, kKWayBits);
-    for (const WahBitmap& bm : ops) acc.OrWith(bm);
-    benchmark::DoNotOptimize(acc);
-  }
-}
-
-void BM_WahOrManyCount(benchmark::State& state) {
-  std::vector<WahBitmap> ops = MakeOperands(state.range(0));
-  std::vector<const WahBitmap*> ptrs = Ptrs(ops);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(WahOrManyCount(ptrs, kKWayBits));
   }
 }
 
@@ -194,15 +156,6 @@ std::vector<WahBitmap> MakeDenseOperands(int64_t k) {
   return dense;
 }
 
-void BM_WahAndMany(benchmark::State& state) {
-  std::vector<WahBitmap> ops = MakeDenseOperands(state.range(0));
-  std::vector<const WahBitmap*> ptrs = Ptrs(ops);
-  for (auto _ : state) {
-    WahBitmap m = WahAndMany(ptrs, kKWayBits);
-    benchmark::DoNotOptimize(m);
-  }
-}
-
 void BM_WahAndPairwiseFold(benchmark::State& state) {
   std::vector<WahBitmap> ops = MakeDenseOperands(state.range(0));
   for (auto _ : state) {
@@ -213,22 +166,10 @@ void BM_WahAndPairwiseFold(benchmark::State& state) {
   }
 }
 
-void BM_WahAndWithFold(benchmark::State& state) {
-  std::vector<WahBitmap> ops = MakeDenseOperands(state.range(0));
-  for (auto _ : state) {
-    WahBitmap acc;
-    acc.AppendRun(true, kKWayBits);
-    for (const WahBitmap& bm : ops) acc.AndWith(bm);
-    benchmark::DoNotOptimize(acc);
-  }
-}
-
 // Clustered operands: each operand holds a few dense clusters with long
 // zero fills between them — the value-bitmap shape of clustered or
-// sorted columns. This is the regime the k-way kernel's heap/active-list
-// merge targets: per output group it touches only the operands whose
-// current run ends there, so the cost is nearly flat in k while the
-// pairwise fold stays O(k · words).
+// sorted columns, where the pairwise fold skips whole fills and costs
+// O(k · words).
 std::vector<WahBitmap> MakeClusteredOperands(int64_t k) {
   std::vector<WahBitmap> ops;
   ops.reserve(static_cast<size_t>(k));
@@ -252,15 +193,6 @@ std::vector<WahBitmap> MakeClusteredOperands(int64_t k) {
   return ops;
 }
 
-void BM_WahOrManyClustered(benchmark::State& state) {
-  std::vector<WahBitmap> ops = MakeClusteredOperands(state.range(0));
-  std::vector<const WahBitmap*> ptrs = Ptrs(ops);
-  for (auto _ : state) {
-    WahBitmap u = WahOrMany(ptrs, kKWayBits);
-    benchmark::DoNotOptimize(u);
-  }
-}
-
 void BM_WahOrFoldClustered(benchmark::State& state) {
   std::vector<WahBitmap> ops = MakeClusteredOperands(state.range(0));
   for (auto _ : state) {
@@ -268,58 +200,6 @@ void BM_WahOrFoldClustered(benchmark::State& state) {
     acc.AppendRun(false, kKWayBits);
     for (const WahBitmap& bm : ops) acc = WahOr(acc, bm);
     benchmark::DoNotOptimize(acc);
-  }
-}
-
-// Uniformly-scattered operands: short literal runs of 1–3 groups with
-// comparably short zero fills between them, independent of k. In this
-// shape nearly every operand is in the merge's active list for nearly
-// every output group, so the event-driven merge has no fills to gallop
-// over and pays O(k) per group, going memory-bound past k ≈ 32 — the
-// regime the cache-blocked operand-grouping path targets (each operand
-// deposits into a 4 KB L1-resident accumulator block instead).
-std::vector<WahBitmap> MakeScatteredOperands(int64_t k) {
-  std::vector<WahBitmap> ops;
-  ops.reserve(static_cast<size_t>(k));
-  for (int64_t i = 0; i < k; ++i) {
-    Rng rng(4200 + static_cast<uint64_t>(i));
-    WahBitmap bm;
-    while (bm.size() < kKWayBits) {
-      uint64_t lit_groups = static_cast<uint64_t>(rng.Uniform(1, 4));
-      for (uint64_t g = 0; g < lit_groups && bm.size() < kKWayBits; ++g) {
-        // A sparse literal group: a handful of set bits so the group is
-        // neither all-zero nor all-one.
-        uint64_t payload = 0;
-        for (int s = 0; s < 3; ++s) {
-          payload |= uint64_t{1} << rng.Uniform(0, 63);
-        }
-        uint64_t nbits = std::min<uint64_t>(63, kKWayBits - bm.size());
-        bm.AppendBits(payload, nbits);
-      }
-      uint64_t fill_groups = static_cast<uint64_t>(rng.Uniform(1, 4));
-      uint64_t nbits =
-          std::min<uint64_t>(fill_groups * 63, kKWayBits - bm.size());
-      bm.AppendRun(false, nbits);
-    }
-    ops.push_back(std::move(bm));
-  }
-  return ops;
-}
-
-void BM_WahOrManyScattered(benchmark::State& state) {
-  std::vector<WahBitmap> ops = MakeScatteredOperands(state.range(0));
-  std::vector<const WahBitmap*> ptrs = Ptrs(ops);
-  for (auto _ : state) {
-    WahBitmap u = WahOrMany(ptrs, kKWayBits);
-    benchmark::DoNotOptimize(u);
-  }
-}
-
-void BM_WahOrManyCountScattered(benchmark::State& state) {
-  std::vector<WahBitmap> ops = MakeScatteredOperands(state.range(0));
-  std::vector<const WahBitmap*> ptrs = Ptrs(ops);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(WahOrManyCount(ptrs, kKWayBits));
   }
 }
 
@@ -333,17 +213,9 @@ void WideKSweep(benchmark::internal::Benchmark* b) {
   b->Unit(benchmark::kMicrosecond);
 }
 
-BENCHMARK(BM_WahOrMany)->Apply(KSweep);
 BENCHMARK(BM_WahOrPairwiseFold)->Apply(KSweep);
-BENCHMARK(BM_WahOrWithFold)->Apply(KSweep);
-BENCHMARK(BM_WahOrManyCount)->Apply(KSweep);
-BENCHMARK(BM_WahAndMany)->Apply(KSweep);
 BENCHMARK(BM_WahAndPairwiseFold)->Apply(KSweep);
-BENCHMARK(BM_WahAndWithFold)->Apply(KSweep);
-BENCHMARK(BM_WahOrManyClustered)->Apply(WideKSweep);
 BENCHMARK(BM_WahOrFoldClustered)->Apply(WideKSweep);
-BENCHMARK(BM_WahOrManyScattered)->Apply(WideKSweep);
-BENCHMARK(BM_WahOrManyCountScattered)->Apply(WideKSweep);
 
 void Sweep(benchmark::internal::Benchmark* b) {
   // Densities: 50%, ~6%, ~0.8%, ~0.05%.

@@ -306,7 +306,6 @@ void AccumulateUnion(const std::vector<const ValueBitmap*>& operands,
                      uint64_t size, std::vector<uint64_t>* acc) {
   acc->assign(DenseWordCount(size), 0);
   for (const ValueBitmap* vb : operands) {
-    CODS_DCHECK(vb->size() == size);
     if (vb->IsAllZeros()) continue;
     OrOperandIntoDense(*vb, acc->data(), acc->size());
   }
@@ -345,20 +344,15 @@ bool AnyEmpty(const std::vector<const ValueBitmap*>& operands) {
   return false;
 }
 
-bool AllWah(const std::vector<const ValueBitmap*>& operands) {
+// Every k-way kernel CHECKs its operands' sizes, in release builds too:
+// the dense accumulator writes up to an operand's own size, so a longer
+// operand would write past it.
+void CheckOperandSizes(const std::vector<const ValueBitmap*>& operands,
+                       uint64_t size) {
   for (const ValueBitmap* vb : operands) {
-    if (vb->rep() != BitmapRep::kWah) return false;
+    CODS_CHECK(vb->size() == size)
+        << "k-way codec operand of size " << vb->size() << ", want " << size;
   }
-  return true;
-}
-
-// The WAH payloads of an all-WAH operand set, for the k-way merges.
-std::vector<const WahBitmap*> WahOperands(
-    const std::vector<const ValueBitmap*>& operands) {
-  std::vector<const WahBitmap*> wahs;
-  wahs.reserve(operands.size());
-  for (const ValueBitmap* vb : operands) wahs.push_back(&vb->wah());
-  return wahs;
 }
 
 // The operands in increasing popcount order (ties keep operand order):
@@ -895,11 +889,9 @@ ValueBitmap CodecNot(const ValueBitmap& a) {
 
 ValueBitmap CodecOrMany(const std::vector<const ValueBitmap*>& operands,
                         uint64_t size) {
+  CheckOperandSizes(operands, size);
   if (operands.empty()) return AllZeros(size);
   if (operands.size() == 1) return *operands[0];
-  if (AllWah(operands)) {
-    return ValueBitmap::FromWah(WahOrMany(WahOperands(operands), size));
-  }
   if (std::optional<std::vector<uint32_t>> merged =
           SparseUnion(operands, size)) {
     return ValueBitmap::FromPositions(std::move(*merged), size);
@@ -912,11 +904,9 @@ ValueBitmap CodecOrMany(const std::vector<const ValueBitmap*>& operands,
 
 uint64_t CodecOrManyCount(const std::vector<const ValueBitmap*>& operands,
                           uint64_t size) {
+  CheckOperandSizes(operands, size);
   if (operands.empty()) return 0;
   if (operands.size() == 1) return operands[0]->CountOnes();
-  if (AllWah(operands)) {
-    return WahOrManyCount(WahOperands(operands), size);
-  }
   if (std::optional<std::vector<uint32_t>> merged =
           SparseUnion(operands, size)) {
     return merged->size();
@@ -928,11 +918,9 @@ uint64_t CodecOrManyCount(const std::vector<const ValueBitmap*>& operands,
 
 ValueBitmap CodecAndMany(const std::vector<const ValueBitmap*>& operands,
                          uint64_t size) {
+  CheckOperandSizes(operands, size);
   if (operands.empty()) return ValueBitmap::FromWah(MakeWahFill(true, size));
   if (AnyEmpty(operands)) return AllZeros(size);
-  if (AllWah(operands)) {
-    return ValueBitmap::FromWah(WahAndMany(WahOperands(operands), size));
-  }
   const std::vector<const ValueBitmap*> order = BySparsity(operands);
   if (order.size() == 1) return *order[0];
   return FoldAnd(order, order.size());
@@ -940,11 +928,9 @@ ValueBitmap CodecAndMany(const std::vector<const ValueBitmap*>& operands,
 
 uint64_t CodecAndManyCount(const std::vector<const ValueBitmap*>& operands,
                            uint64_t size) {
+  CheckOperandSizes(operands, size);
   if (operands.empty()) return size;
   if (AnyEmpty(operands)) return 0;
-  if (AllWah(operands)) {
-    return WahAndManyCount(WahOperands(operands), size);
-  }
   const std::vector<const ValueBitmap*> order = BySparsity(operands);
   const ValueBitmap& last = *order.back();
   switch (order.size()) {

@@ -253,23 +253,25 @@ ValueBitmap CodecNot(const ValueBitmap& a);
 uint64_t CodecAndCount(const ValueBitmap& a, const ValueBitmap& b);
 
 /// k-way union (EvalExpr leaves and OR nodes: the per-predicate OR over
-/// qualifying values). All-WAH operand sets take the single-pass heap
-/// merge; all-array sets with few positions in total (`K IN (a, b, c)`
-/// on a key column) merge their position lists in O(total ones · log);
-/// any other mix ORs into dense words (scatter for arrays, word-OR for
-/// bitsets, run-deposit for WAH) that become the result's container.
+/// qualifying values). All-array sets with few positions in total
+/// (`K IN (a, b, c)` on a key column) merge their position lists in
+/// O(total ones · log); any other set ORs into dense words (scatter for
+/// arrays, word-OR for bitsets, run-deposit for WAH) that become the
+/// result's container. That costs O(size / 64) plus a re-encode even
+/// when every operand is a fill-heavy (clustered) WAH bitmap and the
+/// union stays WAH, a regime a run merge would answer in O(runs).
+/// CHECKs that every operand has `size` bits.
 ValueBitmap CodecOrMany(const std::vector<const ValueBitmap*>& operands,
                         uint64_t size);
 
 /// Count-only k-way union (the ValidateInvariants coverage check and a
-/// COUNT under an OR root), on the same three paths.
+/// COUNT under an OR root), on the same two paths.
 uint64_t CodecOrManyCount(const std::vector<const ValueBitmap*>& operands,
                           uint64_t size);
 
-/// k-way intersection (EvalExpr AND nodes). All-WAH operand sets take
-/// the single-pass WahAndMany; any other mix folds CodecAnd pairwise,
+/// k-way intersection (EvalExpr AND nodes): folds CodecAnd pairwise,
 /// smallest popcount first, and stops at the first empty result. No
-/// operands means every row.
+/// operands means every row. CHECKs that every operand has `size` bits.
 ValueBitmap CodecAndMany(const std::vector<const ValueBitmap*>& operands,
                          uint64_t size);
 

@@ -67,13 +67,4 @@ PlainBitmap PlainBitmap::Or(const PlainBitmap& other) const {
   return out;
 }
 
-PlainBitmap PlainBitmap::Xor(const PlainBitmap& other) const {
-  CODS_CHECK(size_ == other.size_);
-  PlainBitmap out(size_);
-  for (size_t i = 0; i < words_.size(); ++i) {
-    out.words_[i] = words_[i] ^ other.words_[i];
-  }
-  return out;
-}
-
 }  // namespace cods

@@ -40,7 +40,6 @@ class PlainBitmap {
   /// Word-wise logical ops; sizes must match.
   PlainBitmap And(const PlainBitmap& other) const;
   PlainBitmap Or(const PlainBitmap& other) const;
-  PlainBitmap Xor(const PlainBitmap& other) const;
 
   const std::vector<uint64_t>& words() const { return words_; }
 

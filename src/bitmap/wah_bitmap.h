@@ -12,17 +12,15 @@
 // completed all-zero / all-one literal group is converted into (or merged
 // with) a fill. Two bitmaps with the same logical content built through
 // the append API therefore have identical words, which makes equality a
-// cheap memcmp. Logical operations (bitmap/wah_ops.h) and the position
-// filter (bitmap/wah_filter.h) consume and produce compressed words
-// directly; nothing in this library ever materializes the uncompressed
-// bit vector.
+// cheap memcmp. The pairwise logical operations (bitmap/wah_ops.h) and
+// the position filter (bitmap/wah_filter.h) consume and produce
+// compressed words directly.
 
 #ifndef CODS_BITMAP_WAH_BITMAP_H_
 #define CODS_BITMAP_WAH_BITMAP_H_
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -108,43 +106,6 @@ class WahBitmap {
   /// Capacity hint for append-heavy builders: reserves room for `words`
   /// compressed code words.
   void Reserve(uint64_t words) { words_.reserve(words); }
-
-  /// Resets to an empty bitmap, retaining the word vector's capacity
-  /// (builders that recycle a bitmap as an output buffer stop
-  /// allocating once it reaches steady-state size).
-  void Clear() {
-    words_.clear();
-    tail_ = 0;
-    tail_bits_ = 0;
-    num_bits_ = 0;
-    ones_ = 0;
-  }
-
-  /// Swaps the full representation with `other`. O(1).
-  void Swap(WahBitmap& other) noexcept {
-    words_.swap(other.words_);
-    std::swap(tail_, other.tail_);
-    std::swap(tail_bits_, other.tail_bits_);
-    std::swap(num_bits_, other.num_bits_);
-    std::swap(ones_, other.ones_);
-  }
-
-  // ---- Mutating logical ops (implemented in bitmap/wah_ops.cc) ---------
-  //
-  // Fold-accumulator convenience for callers that cannot batch their
-  // operands into a WahOrMany/WahAndMany call. O(1) when either side is
-  // a homogeneous fill (an untouched or saturated/annihilated
-  // accumulator, a homogeneous operand). Otherwise one streaming merge
-  // into a recycled thread-local buffer that is swapped in as the new
-  // representation; the displaced accumulator vector becomes the next
-  // call's buffer, so fold loops stop allocating once the buffer
-  // reaches steady-state capacity.
-
-  /// this |= other. Requires equal sizes.
-  void OrWith(const WahBitmap& other);
-
-  /// this &= other. Requires equal sizes.
-  void AndWith(const WahBitmap& other);
 
   // ---- Inspection ------------------------------------------------------
 

@@ -197,11 +197,9 @@ Result<std::shared_ptr<const Table>> CodsMergeKeyFk(
             return Status::OK();
           });
       CODS_CHECK(st.ok()) << st.ToString();
-      std::vector<WahBitmap> bitmaps = BuildValueBitmaps(
-          exec, out_vid_of_row.data(), s.rows(), src.distinct_count());
       specs.push_back(t.schema().column(t_payload[p]));
-      out_cols.push_back(Column::FromBitmaps(
-          src.type(), src.dict(), std::move(bitmaps), s.rows(), &exec));
+      out_cols.push_back(
+          Column::FromVids(src.type(), src.dict(), out_vid_of_row, &exec));
     }
   }
   CODS_ASSIGN_OR_RETURN(Schema out_schema,

@@ -124,10 +124,8 @@ Result<FkOut> FkJoin(const ExecContext& exec, const Table& scan,
           return Status::OK();
         });
     CODS_CHECK(st.ok()) << st.ToString();
-    std::vector<WahBitmap> bitmaps = BuildValueBitmaps(
-        exec, out_vid_of_row.data(), out.rows, src.distinct_count());
-    out.keyed_cols.push_back(Column::FromBitmaps(
-        src.type(), src.dict(), std::move(bitmaps), out.rows, &exec));
+    out.keyed_cols.push_back(
+        Column::FromVids(src.type(), src.dict(), out_vid_of_row, &exec));
   }
   return out;
 }
@@ -171,11 +169,8 @@ Result<std::shared_ptr<const Table>> GeneralJoin(
       return Status::OK();
     });
     CODS_CHECK(st.ok()) << st.ToString();
-    std::vector<WahBitmap> bitmaps = BuildValueBitmaps(
-        exec, out_vid_of_row.data(), out_rows, src.distinct_count());
-    out_cols.push_back(Column::FromBitmaps(src.type(), src.dict(),
-                                           std::move(bitmaps), out_rows,
-                                           &exec));
+    out_cols.push_back(
+        Column::FromVids(src.type(), src.dict(), out_vid_of_row, &exec));
   };
   for (size_t i = 0; i < left.num_columns(); ++i) {
     const Column& src = *left.column(i);

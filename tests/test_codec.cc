@@ -1,6 +1,7 @@
 // Tests for the density-adaptive bitmap codec: the representation rule,
-// every kernel verified against the WAH oracle across all representation
-// pairs (randomized property sweep), serde round trips for v1/v2/v3
+// the pairwise kernels verified against the WAH oracle across all
+// representation pairs (randomized property sweep), the k-way kernels
+// against an uncompressed PlainBitmap fold, serde round trips for v1/v2/v3
 // images, and corruption injection — a mutated image must surface as
 // Status::Corruption, never as silently wrong data.
 
@@ -10,6 +11,7 @@
 #include <cstdio>
 #include <set>
 
+#include "bitmap/plain_bitmap.h"
 #include "bitmap/popcount.h"
 #include "bitmap/wah_filter.h"
 #include "bitmap/wah_ops.h"
@@ -46,6 +48,31 @@ WahBitmap WahFromU32(const std::vector<uint32_t>& positions, uint64_t size) {
 
 ValueBitmap MakeRandom(uint64_t size, uint64_t ones, uint64_t seed) {
   return ValueBitmap::FromPositions(SamplePositions(size, ones, seed), size);
+}
+
+// The uncompressed oracle for the k-way kernels: a fold of PlainBitmap
+// word ops over the operands' set bits, sharing no code with any codec
+// or WAH kernel. Returned in canonical codec form, so an EXPECT_EQ
+// against a kernel result also checks the kernel's container choice.
+PlainBitmap ToPlain(const ValueBitmap& vb) {
+  PlainBitmap plain(vb.size());
+  for (uint64_t p : vb.SetPositions()) plain.Set(p);
+  return plain;
+}
+
+ValueBitmap PlainOrFold(const std::vector<const ValueBitmap*>& operands,
+                        uint64_t size) {
+  PlainBitmap acc(size);
+  for (const ValueBitmap* vb : operands) acc = acc.Or(ToPlain(*vb));
+  return ValueBitmap::FromWah(acc.ToWah());
+}
+
+ValueBitmap PlainAndFold(const std::vector<const ValueBitmap*>& operands,
+                         uint64_t size) {
+  PlainBitmap acc(size);
+  for (uint64_t i = 0; i < size; ++i) acc.Set(i);
+  for (const ValueBitmap* vb : operands) acc = acc.And(ToPlain(*vb));
+  return ValueBitmap::FromWah(acc.ToWah());
 }
 
 // The density classes the sweep crosses. For size 4096: empty and full
@@ -171,24 +198,18 @@ TEST(CodecKernels, OrManyMixedRepsVsOracle) {
       vbs.push_back(MakeRandom(kSweepSize, c.ones, seed * 59 + c.ones + 1));
     }
     std::vector<const ValueBitmap*> operands;
-    std::vector<WahBitmap> wahs;
-    for (const ValueBitmap& vb : vbs) {
-      operands.push_back(&vb);
-      wahs.push_back(vb.ToWah());
-    }
-    std::vector<const WahBitmap*> wah_ptrs;
-    for (const WahBitmap& w : wahs) wah_ptrs.push_back(&w);
+    for (const ValueBitmap& vb : vbs) operands.push_back(&vb);
 
-    WahBitmap oracle = WahOrMany(wah_ptrs, kSweepSize);
+    const ValueBitmap oracle = PlainOrFold(operands, kSweepSize);
     const ValueBitmap merged = CodecOrMany(operands, kSweepSize);
-    EXPECT_EQ(merged, ValueBitmap::FromWah(oracle));
+    EXPECT_EQ(merged, oracle);
     EXPECT_TRUE(merged.Validate(kSweepSize).ok());
     EXPECT_EQ(CodecOrManyCount(operands, kSweepSize), oracle.CountOnes());
 
-    // Subsets exercise the all-WAH fast path and single-operand cases.
+    // Subsets exercise an all-WAH pair and the single-operand case.
     std::vector<const ValueBitmap*> just_wah = {operands[4], operands[5]};
     EXPECT_EQ(CodecOrMany(just_wah, kSweepSize),
-              ValueBitmap::FromWah(WahOr(*wah_ptrs[4], *wah_ptrs[5])));
+              ValueBitmap::FromWah(WahOr(vbs[4].ToWah(), vbs[5].ToWah())));
     std::vector<const ValueBitmap*> one = {operands[2]};
     EXPECT_EQ(CodecOrMany(one, kSweepSize), vbs[2]);
     EXPECT_EQ(CodecOrMany({}, kSweepSize).CountOnes(), 0u);
@@ -197,31 +218,25 @@ TEST(CodecKernels, OrManyMixedRepsVsOracle) {
 }
 
 // Every subset of two operands per density class: the k-way AND and its
-// count equal the WAH heap merge, and neither depends on operand order.
+// count equal the PlainBitmap fold, and neither depends on operand order.
 TEST(CodecKernels, AndManyMixedRepsVsOracle) {
   for (uint64_t seed = 1; seed <= 2; ++seed) {
     std::vector<ValueBitmap> vbs;
-    std::vector<WahBitmap> wahs;
     for (const DensityClass& c : kClasses) {
       for (uint64_t i = 0; i < 2; ++i) {
         // Full bitmaps are identical; vary the others.
         vbs.push_back(MakeRandom(kSweepSize, c.ones, seed * 71 + c.ones + i));
-        wahs.push_back(vbs.back().ToWah());
       }
     }
     for (uint32_t mask = 0; mask < (1u << vbs.size()); ++mask) {
       std::vector<const ValueBitmap*> operands;
-      std::vector<const WahBitmap*> wah_ptrs;
       for (size_t i = 0; i < vbs.size(); ++i) {
-        if ((mask >> i) & 1) {
-          operands.push_back(&vbs[i]);
-          wah_ptrs.push_back(&wahs[i]);
-        }
+        if ((mask >> i) & 1) operands.push_back(&vbs[i]);
       }
       SCOPED_TRACE("mask " + std::to_string(mask));
-      const WahBitmap oracle = WahAndMany(wah_ptrs, kSweepSize);
+      const ValueBitmap oracle = PlainAndFold(operands, kSweepSize);
       const ValueBitmap got = CodecAndMany(operands, kSweepSize);
-      EXPECT_EQ(got, ValueBitmap::FromWah(oracle));
+      EXPECT_EQ(got, oracle);
       EXPECT_TRUE(got.Validate(kSweepSize).ok());
       EXPECT_EQ(CodecAndManyCount(operands, kSweepSize), oracle.CountOnes());
       std::reverse(operands.begin(), operands.end());
@@ -250,15 +265,14 @@ TEST(CodecKernels, FilterMatchesCompressedOracle) {
 TEST(CodecKernels, AllArrayOrManyMatchesDensePath) {
   // Unions of array operands merge their position lists when that beats
   // the dense accumulator (few positions over a long domain) and take
-  // the accumulator otherwise; both must equal the all-WAH heap merge
-  // and a plain dense union, code word for code word. Operands overlap,
+  // the accumulator otherwise; both must equal the PlainBitmap fold and
+  // a dense union built here, container for container. Operands overlap,
   // and empty operands ride along; domains are not multiples of 63 or 64.
   for (uint64_t size : {4096u, 200'003u}) {
     for (uint64_t k : {2u, 3u, 8u}) {
       for (uint64_t ones : {1u, 10u, 60u, 3000u}) {
         if (ones > size / 64) continue;
         std::vector<ValueBitmap> arrays;
-        std::vector<WahBitmap> wahs;
         std::vector<uint64_t> dense((size + 63) / 64, 0);
         for (uint64_t i = 0; i < k; ++i) {
           // Every other operand reuses its predecessor's first half.
@@ -273,21 +287,17 @@ TEST(CodecKernels, AllArrayOrManyMatchesDensePath) {
             if (pos.size() > size / 64) pos.resize(size / 64);
           }
           for (uint32_t p : pos) dense[p >> 6] |= uint64_t{1} << (p & 63);
-          wahs.push_back(WahFromU32(pos, size));
           arrays.push_back(ValueBitmap::FromPositions(std::move(pos), size));
           ASSERT_EQ(arrays.back().rep(), BitmapRep::kArray);
         }
         arrays.push_back(MakeRandom(size, 0, 1));  // empty: a WAH fill
         std::vector<const ValueBitmap*> operands;
         for (const ValueBitmap& vb : arrays) operands.push_back(&vb);
-        std::vector<const WahBitmap*> wah_ptrs;
-        for (const WahBitmap& w : wahs) wah_ptrs.push_back(&w);
-        const WahBitmap oracle = WahOrMany(wah_ptrs, size);
+        const ValueBitmap oracle = PlainOrFold(operands, size);
         const std::string label = "size " + std::to_string(size) + " k " +
                                   std::to_string(k) + " ones " +
                                   std::to_string(ones);
-        EXPECT_EQ(CodecOrMany(operands, size), ValueBitmap::FromWah(oracle))
-            << label;
+        EXPECT_EQ(CodecOrMany(operands, size), oracle) << label;
         EXPECT_EQ(CodecOrMany(operands, size),
                   ValueBitmap::FromDenseWords(dense, size))
             << label;
@@ -295,6 +305,101 @@ TEST(CodecKernels, AllArrayOrManyMatchesDensePath) {
             << label;
       }
     }
+  }
+}
+
+// All-WAH operand sets take the same dense-accumulator union and
+// sparsest-first CodecAnd fold as every other mix. The sweep crosses the
+// widths around the 16-operand mark and up to 63, with fill-heavy
+// (clustered) and literal-heavy (scattered) operands, plus a set holding
+// an all-ones operand and a set of pairwise disjoint operands.
+TEST(CodecKernels, AllWahManyVsOracle) {
+  const uint64_t size = 200'003;  // neither a multiple of 63 nor of 64
+  auto clustered = [size](uint64_t seed) {
+    Rng rng(seed);
+    WahBitmap bm;
+    for (int run = 0; run < 4; ++run) {
+      const uint64_t len = size / 40;
+      const uint64_t start = static_cast<uint64_t>(
+          rng.Uniform(static_cast<int64_t>(bm.size()),
+                      static_cast<int64_t>(bm.size() + size / 5)));
+      bm.AppendRun(false, start - bm.size());
+      bm.AppendRun(true, len);
+    }
+    bm.AppendRun(false, size - bm.size());
+    return ValueBitmap::FromWah(std::move(bm));
+  };
+  auto scattered = [size](uint64_t seed) {
+    Rng rng(seed);
+    std::vector<uint64_t> positions;
+    for (uint64_t i = 0; i < size; ++i) {
+      if (rng.NextBool(0.05)) positions.push_back(i);
+    }
+    return ValueBitmap::FromWah(WahBitmap::FromPositions(positions, size));
+  };
+  auto disjoint = [size](uint64_t i, uint64_t k) {
+    const uint64_t stride = size / k;
+    WahBitmap bm;
+    bm.AppendRun(false, i * stride);
+    bm.AppendRun(true, std::min(stride, size / 8));
+    bm.AppendRun(false, size - bm.size());
+    return ValueBitmap::FromWah(std::move(bm));
+  };
+  WahBitmap ones_wah;
+  ones_wah.AppendRun(true, size);
+  const ValueBitmap all_ones = ValueBitmap::FromWah(std::move(ones_wah));
+
+  for (uint64_t k : {2u, 3u, 15u, 16u, 17u, 63u}) {
+    std::vector<std::pair<std::string, std::vector<ValueBitmap>>> sets(4);
+    sets[0].first = "clustered";
+    sets[1].first = "scattered";
+    sets[2].first = "with all-ones";
+    sets[3].first = "disjoint";
+    for (uint64_t i = 0; i < k; ++i) {
+      sets[0].second.push_back(clustered(1000 * k + i));
+      sets[1].second.push_back(scattered(2000 * k + i));
+      sets[2].second.push_back(i == k / 2 ? all_ones
+                                          : scattered(3000 * k + i));
+      sets[3].second.push_back(disjoint(i, k));
+    }
+    for (const auto& [name, vbs] : sets) {
+      SCOPED_TRACE(name + " k " + std::to_string(k));
+      std::vector<const ValueBitmap*> operands;
+      for (const ValueBitmap& vb : vbs) {
+        ASSERT_EQ(vb.rep(), BitmapRep::kWah) << vb.ToString();
+        operands.push_back(&vb);
+      }
+      const ValueBitmap or_oracle = PlainOrFold(operands, size);
+      const ValueBitmap and_oracle = PlainAndFold(operands, size);
+      const ValueBitmap united = CodecOrMany(operands, size);
+      const ValueBitmap intersected = CodecAndMany(operands, size);
+      EXPECT_EQ(united, or_oracle);
+      EXPECT_TRUE(united.Validate(size).ok());
+      EXPECT_EQ(intersected, and_oracle);
+      EXPECT_TRUE(intersected.Validate(size).ok());
+      EXPECT_EQ(CodecOrManyCount(operands, size), or_oracle.CountOnes());
+      EXPECT_EQ(CodecAndManyCount(operands, size), and_oracle.CountOnes());
+    }
+  }
+}
+
+// Every k-way kernel CHECKs operand sizes in release builds too: a
+// longer operand would otherwise write past the union's accumulator.
+TEST(CodecKernelsDeath, OperandSizeMismatchIsFatal) {
+  const ValueBitmap ok = MakeRandom(kSweepSize, 400, 3);
+  const uint64_t longer = kSweepSize + 64;
+  for (const DensityClass& c : kClasses) {
+    if (c.ones == 0 || c.ones == kSweepSize) continue;
+    const ValueBitmap bad = MakeRandom(longer, c.ones, 5);
+    ASSERT_EQ(bad.rep(), c.rep);
+    SCOPED_TRACE(BitmapRepName(bad.rep()));
+    const std::vector<const ValueBitmap*> operands = {&ok, &bad};
+    EXPECT_DEATH(CodecOrMany(operands, kSweepSize), "k-way codec operand");
+    EXPECT_DEATH(CodecOrManyCount(operands, kSweepSize),
+                 "k-way codec operand");
+    EXPECT_DEATH(CodecAndMany(operands, kSweepSize), "k-way codec operand");
+    EXPECT_DEATH(CodecAndManyCount(operands, kSweepSize),
+                 "k-way codec operand");
   }
 }
 

@@ -329,9 +329,8 @@ TEST(Expr, SelectionContainersAcrossDensityBoundaries) {
     pool.push_back(leaf);
     pool.push_back(Expr::Not(leaf));
   }
-  // Unions of WAH values (the k-way WAH merge), of bitsets, of many
-  // arrays (the dense accumulator), and of few arrays (the position
-  // merge).
+  // Unions of WAH values, of bitsets and of many arrays (the dense
+  // accumulator), and of few arrays (the position merge).
   pool.push_back(Expr::In("G", {i64(1), i64(5), i64(7)}));
   pool.push_back(Expr::Not(Expr::In("G", {i64(2), i64(3)})));
   pool.push_back(Expr::In("H", {i64(0), i64(2)}));
